@@ -9,11 +9,12 @@ SERVER_COVER_FLOOR ?= 80.0
 STABILIZER_COVER_FLOOR ?= 85.0
 STORE_COVER_FLOOR ?= 85.0
 CHAOS_COVER_FLOOR ?= 85.0
+COVER_TARGETS := cover-fault cover-server cover-stabilizer cover-store cover-chaos
 # Allowed fractional throughput loss of the (disabled) tracing hooks vs
 # the BENCH_engine.json snapshot.
 TRACE_OVERHEAD_TOL ?= 0.01
 
-.PHONY: tier1 ci fuzz-smoke cover-fault cover-server cover-stabilizer cover-store cover-chaos backend-diff serve-smoke cluster-smoke crash-smoke chaos-smoke trace-overhead bench-engine bench-store bench bench-regress bench-baseline profile
+.PHONY: tier1 ci fuzz-smoke $(COVER_TARGETS) backend-diff serve-smoke cluster-smoke crash-smoke chaos-smoke trace-overhead bench-engine bench-store bench bench-regress bench-baseline profile
 
 tier1:
 	$(GO) build ./...
@@ -24,11 +25,7 @@ ci: tier1
 	$(GO) test -race -timeout 30m ./...
 	$(MAKE) backend-diff
 	$(MAKE) fuzz-smoke
-	$(MAKE) cover-fault
-	$(MAKE) cover-server
-	$(MAKE) cover-stabilizer
-	$(MAKE) cover-store
-	$(MAKE) cover-chaos
+	$(MAKE) $(COVER_TARGETS)
 	$(MAKE) trace-overhead
 	$(MAKE) bench-regress
 	$(MAKE) serve-smoke
@@ -46,39 +43,20 @@ fuzz-smoke:
 	$(GO) test ./internal/circuit -run '^$$' -fuzz '^FuzzCompiledVsInterpreted$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzBackendVsStateVector$$' -fuzztime $(FUZZTIME)
 
-# Statement-coverage floor for the fault-injection subsystem.
-cover-fault:
-	$(GO) test -coverprofile=/tmp/fault.cover ./internal/fault
-	@$(GO) tool cover -func=/tmp/fault.cover | awk -v floor=$(FAULT_COVER_FLOOR) \
-		'/^total:/ { sub(/%/, "", $$3); printf "internal/fault coverage: %s%% (floor %s%%)\n", $$3, floor; \
-		if ($$3 + 0 < floor + 0) { print "coverage below floor"; exit 1 } }'
+# Statement-coverage floors: cover-PKG tests ./internal/PKG and fails
+# below PKG's floor — the fault-injection subsystem, the job service, the
+# stabilizer-tableau backend, the durable job store (WAL + recovery) and
+# the deterministic fault proxy.
+cover-fault: COVER_FLOOR = $(FAULT_COVER_FLOOR)
+cover-server: COVER_FLOOR = $(SERVER_COVER_FLOOR)
+cover-stabilizer: COVER_FLOOR = $(STABILIZER_COVER_FLOOR)
+cover-store: COVER_FLOOR = $(STORE_COVER_FLOOR)
+cover-chaos: COVER_FLOOR = $(CHAOS_COVER_FLOOR)
 
-# Statement-coverage floor for the job-service subsystem.
-cover-server:
-	$(GO) test -coverprofile=/tmp/server.cover ./internal/server
-	@$(GO) tool cover -func=/tmp/server.cover | awk -v floor=$(SERVER_COVER_FLOOR) \
-		'/^total:/ { sub(/%/, "", $$3); printf "internal/server coverage: %s%% (floor %s%%)\n", $$3, floor; \
-		if ($$3 + 0 < floor + 0) { print "coverage below floor"; exit 1 } }'
-
-# Statement-coverage floor for the stabilizer-tableau backend.
-cover-stabilizer:
-	$(GO) test -coverprofile=/tmp/stabilizer.cover ./internal/stabilizer
-	@$(GO) tool cover -func=/tmp/stabilizer.cover | awk -v floor=$(STABILIZER_COVER_FLOOR) \
-		'/^total:/ { sub(/%/, "", $$3); printf "internal/stabilizer coverage: %s%% (floor %s%%)\n", $$3, floor; \
-		if ($$3 + 0 < floor + 0) { print "coverage below floor"; exit 1 } }'
-
-# Statement-coverage floor for the durable job store (WAL + recovery).
-cover-store:
-	$(GO) test -coverprofile=/tmp/store.cover ./internal/store
-	@$(GO) tool cover -func=/tmp/store.cover | awk -v floor=$(STORE_COVER_FLOOR) \
-		'/^total:/ { sub(/%/, "", $$3); printf "internal/store coverage: %s%% (floor %s%%)\n", $$3, floor; \
-		if ($$3 + 0 < floor + 0) { print "coverage below floor"; exit 1 } }'
-
-# Statement-coverage floor for the deterministic fault proxy.
-cover-chaos:
-	$(GO) test -coverprofile=/tmp/chaos.cover ./internal/chaos
-	@$(GO) tool cover -func=/tmp/chaos.cover | awk -v floor=$(CHAOS_COVER_FLOOR) \
-		'/^total:/ { sub(/%/, "", $$3); printf "internal/chaos coverage: %s%% (floor %s%%)\n", $$3, floor; \
+$(COVER_TARGETS): cover-%:
+	$(GO) test -coverprofile=/tmp/$*.cover ./internal/$*
+	@$(GO) tool cover -func=/tmp/$*.cover | awk -v floor=$(COVER_FLOOR) \
+		'/^total:/ { sub(/%/, "", $$3); printf "internal/$* coverage: %s%% (floor %s%%)\n", $$3, floor; \
 		if ($$3 + 0 < floor + 0) { print "coverage below floor"; exit 1 } }'
 
 # Explicit run of the engine-level backend differential suite: both

@@ -284,12 +284,18 @@ func TestCoordinatorFailsOverMidJob(t *testing.T) {
 	t.Error("artery_cluster_shards_failed_over_total not exposed")
 }
 
-// TestCoordinatorFailsJobWhenShardsExhausted: with every backend dead
-// and the attempt budget spent, the job fails with a shard error rather
-// than hanging or returning a short result.
+// TestCoordinatorFailsJobWhenShardsExhausted: with every backend failing
+// its jobs and the attempt budget spent, the job fails with a shard error
+// rather than hanging or returning a short result. The backend passes
+// /readyz, so the submission is admitted whatever the health probes have
+// seen so far; shedding with no ready backend is
+// TestCoordinatorNotReadyWithoutBackends.
 func TestCoordinatorFailsJobWhenShardsExhausted(t *testing.T) {
 	off := false
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/readyz" {
+			return
+		}
 		http.Error(w, "gone", http.StatusServiceUnavailable)
 	}))
 	defer dead.Close()

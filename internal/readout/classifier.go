@@ -32,28 +32,44 @@ type Classifier struct {
 // length-normalized), the same pair of centers classifies both the
 // mid-readout trajectory points and the final integrated point.
 func NewClassifier(cal *Calibration, windowNs float64, train []*Pulse) *Classifier {
-	c := &Classifier{cal: cal, WindowNs: windowNs}
-	var f0, f1 IQ
-	var m0, m1 int
+	var fit centerFit
 	for _, p := range train {
-		full := cal.IntegratedIQ(p, 0)
-		// Centers use only pulses that did not decay mid-readout, the clean
-		// calibration clusters.
-		if p.Prepared == 1 && math.IsInf(p.DecayedAtNs, 1) {
-			f1.I += full.I
-			f1.Q += full.Q
-			m1++
-		} else if p.Prepared == 0 {
-			f0.I += full.I
-			f0.Q += full.Q
-			m0++
-		}
+		fit.add(p, cal.IntegratedIQ(p, 0))
 	}
-	if m0 == 0 || m1 == 0 {
+	return fit.classifier(cal, windowNs)
+}
+
+// centerFit is NewClassifier's cluster-center fit, fed one training pulse
+// at a time so that a calibration streaming its corpus (NewChannelWithTable)
+// accumulates the same sums in the same order as a fit over a pulse slice.
+type centerFit struct {
+	f0, f1 IQ
+	m0, m1 int
+}
+
+// add folds one training pulse, given its integrated IQ, into the fit.
+// Centers use only pulses that did not decay mid-readout, the clean
+// calibration clusters.
+func (f *centerFit) add(p *Pulse, full IQ) {
+	if p.Prepared == 1 && math.IsInf(p.DecayedAtNs, 1) {
+		f.f1.I += full.I
+		f.f1.Q += full.Q
+		f.m1++
+	} else if p.Prepared == 0 {
+		f.f0.I += full.I
+		f.f0.Q += full.Q
+		f.m0++
+	}
+}
+
+// classifier returns the classifier with the fitted centers.
+func (f *centerFit) classifier(cal *Calibration, windowNs float64) *Classifier {
+	if f.m0 == 0 || f.m1 == 0 {
 		panic("readout: training set must contain both prepared states")
 	}
-	c.F0 = IQ{f0.I / float64(m0), f0.Q / float64(m0)}
-	c.F1 = IQ{f1.I / float64(m1), f1.Q / float64(m1)}
+	c := &Classifier{cal: cal, WindowNs: windowNs}
+	c.F0 = IQ{f.f0.I / float64(f.m0), f.f0.Q / float64(f.m0)}
+	c.F1 = IQ{f.f1.I / float64(f.m1), f.f1.Q / float64(f.m1)}
 	c.W0, c.W1 = c.F0, c.F1
 	return c
 }
@@ -70,7 +86,11 @@ func (c *Classifier) ClassifyWindow(pt IQ) int {
 // conventional end-of-readout classification every baseline controller
 // waits for, and the ground-truth branch outcome of a shot.
 func (c *Classifier) ClassifyFull(p *Pulse) int {
-	pt := c.cal.IntegratedIQ(p, 0)
+	return c.classifyIntegrated(c.cal.IntegratedIQ(p, 0))
+}
+
+// classifyIntegrated returns the state of a full-pulse integrated IQ point.
+func (c *Classifier) classifyIntegrated(pt IQ) int {
 	if pt.Dist2(c.F1) < pt.Dist2(c.F0) {
 		return 1
 	}
@@ -99,7 +119,7 @@ func (c *Classifier) WindowBits(p *Pulse, uptoNs float64) []int {
 // reusing its capacity — the allocation-free form for per-shot scratch.
 // The bits are computed in a single pass over the samples, classifying the
 // running cumulative integral at each window boundary; the running sums are
-// exactly CumulativeTrajectory's, so the bits are bit-identical to the
+// exactly appendCumulative's, so the bits are bit-identical to the
 // two-pass trajectory-then-classify formulation.
 func (c *Classifier) AppendWindowBits(dst []int, p *Pulse, uptoNs float64) []int {
 	bits, _, _, _ := c.windowBits(dst, p, uptoNs)
@@ -111,14 +131,8 @@ func (c *Classifier) AppendWindowBits(dst []int, p *Pulse, uptoNs float64) []int
 // ClassifyFullAndBits finish the full-pulse classification from the same
 // traversal.
 func (c *Classifier) windowBits(dst []int, p *Pulse, uptoNs float64) (bits []int, sumI, sumQ float64, limit int) {
-	if uptoNs <= 0 || uptoNs > c.cal.DurationNs {
-		uptoNs = c.cal.DurationNs
-	}
 	w := c.cal.WindowSamples(c.WindowNs)
-	limit = int(uptoNs * c.cal.SampleRateGSPS)
-	if limit > len(p.Samples) {
-		limit = len(p.Samples)
-	}
+	limit = c.cal.sampleLimit(len(p.Samples), uptoNs)
 	omega := c.cal.Omega()
 	ref := complex(1, 0)
 	rot := cmplx.Rect(1, omega)
@@ -146,11 +160,7 @@ func (c *Classifier) windowBits(dst []int, p *Pulse, uptoNs float64) (bits []int
 func (c *Classifier) ClassifyFullAndBits(p *Pulse, dst []int) (truth int, bits []int) {
 	bits, sumI, sumQ, limit := c.windowBits(dst, p, 0)
 	norm := float64(limit) + 1
-	pt := IQ{I: sumI / norm, Q: sumQ / norm}
-	if pt.Dist2(c.F1) < pt.Dist2(c.F0) {
-		truth = 1
-	}
-	return truth, bits
+	return c.classifyIntegrated(IQ{I: sumI / norm, Q: sumQ / norm}), bits
 }
 
 // ClassifyFullAndBitsTrace is ClassifyFullAndBits with ClassifyFullTrace's
@@ -262,17 +272,12 @@ func (t *StateTable) Update(bits []int, finalOutcome int) {
 	t.counters[b][l][idx].Observe(finalOutcome == 1)
 }
 
-// Train fills the table from complete training shots: every prefix of each
-// shot's window bits is attributed to its final outcome, mirroring the
-// paper's offline pre-generation.
-func (t *StateTable) Train(allBits [][]int, outcomes []int) {
-	if len(allBits) != len(outcomes) {
-		panic("readout: training bits/outcomes length mismatch")
-	}
-	for i, bits := range allBits {
-		for n := 1; n <= len(bits); n++ {
-			t.Update(bits[:n], outcomes[i])
-		}
+// trainShot fills the table from one complete training shot: every prefix
+// of the shot's window bits is attributed to its final outcome, mirroring
+// the paper's offline pre-generation.
+func (t *StateTable) trainShot(bits []int, outcome int) {
+	for n := 1; n <= len(bits); n++ {
+		t.Update(bits[:n], outcome)
 	}
 }
 

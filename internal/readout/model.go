@@ -246,14 +246,8 @@ func (c *Calibration) WindowSamples(windowNs float64) int {
 // (uptoNs <= 0 means the full pulse). Partial trailing windows are dropped,
 // matching the hardware's stream adapter.
 func (c *Calibration) Trajectory(p *Pulse, windowNs, uptoNs float64) []IQ {
-	if uptoNs <= 0 || uptoNs > c.DurationNs {
-		uptoNs = c.DurationNs
-	}
 	w := c.WindowSamples(windowNs)
-	limit := int(uptoNs * c.SampleRateGSPS)
-	if limit > len(p.Samples) {
-		limit = len(p.Samples)
-	}
+	limit := c.sampleLimit(len(p.Samples), uptoNs)
 	var out []IQ
 	for start := 0; start+w <= limit; start += w {
 		out = append(out, Demodulate(p.Samples, start, w, c.Omega()))
@@ -261,26 +255,22 @@ func (c *Calibration) Trajectory(p *Pulse, windowNs, uptoNs float64) []IQ {
 	return out
 }
 
-// CumulativeTrajectory returns the cumulative IQ integral evaluated at
-// every windowNs boundary within the first uptoNs of the pulse: point i is
-// the demodulation of samples [0, (i+1)·w). This is the trajectory of
-// Figure 5 (b) — points drift toward the state's cluster center as the
-// integration SNR grows with √t — and is what the trajectory predictor
-// classifies. Computed in one pass over the samples.
-func (c *Calibration) CumulativeTrajectory(p *Pulse, windowNs, uptoNs float64) []IQ {
-	if uptoNs <= 0 || uptoNs > c.DurationNs {
-		uptoNs = c.DurationNs
-	}
+// appendCumulative appends to dst the cumulative IQ integral evaluated at
+// every windowNs boundary of the pulse — point i is the demodulation of
+// samples [0, (i+1)·w) — and returns it with the pulse's IntegratedIQ. This
+// is the trajectory of Figure 5 (b): points drift toward the state's
+// cluster center as the integration SNR grows with √t. One pass over the
+// samples yields both: the running sums at the last sample are Demodulate's
+// over the whole pulse — same operations, same order — so the integrated
+// point is bit-identical to IntegratedIQ's.
+func (c *Calibration) appendCumulative(dst []IQ, p *Pulse, windowNs float64) (points []IQ, full IQ) {
 	w := c.WindowSamples(windowNs)
-	limit := int(uptoNs * c.SampleRateGSPS)
-	if limit > len(p.Samples) {
-		limit = len(p.Samples)
-	}
+	limit := c.sampleLimit(len(p.Samples), 0)
 	omega := c.Omega()
 	ref := complex(1, 0)
 	rot := cmplx.Rect(1, omega)
 	var sumI, sumQ float64
-	var out []IQ
+	points = dst
 	for k := 0; k < limit; k++ {
 		cr, sr := real(ref), imag(ref)
 		re, im := real(p.Samples[k]), imag(p.Samples[k])
@@ -289,23 +279,29 @@ func (c *Calibration) CumulativeTrajectory(p *Pulse, windowNs, uptoNs float64) [
 		ref *= rot
 		if (k+1)%w == 0 {
 			n := float64(k+1) + 1
-			out = append(out, IQ{I: sumI / n, Q: sumQ / n})
+			points = append(points, IQ{I: sumI / n, Q: sumQ / n})
 		}
 	}
-	return out
+	norm := float64(limit) + 1
+	return points, IQ{I: sumI / norm, Q: sumQ / norm}
 }
 
 // IntegratedIQ demodulates the entire first uptoNs of the pulse as a single
 // window — the matched-filter point used for final state classification.
 func (c *Calibration) IntegratedIQ(p *Pulse, uptoNs float64) IQ {
+	return Demodulate(p.Samples, 0, c.sampleLimit(len(p.Samples), uptoNs), c.Omega())
+}
+
+// sampleLimit is the number of samples in the first uptoNs of an n-sample
+// pulse; uptoNs <= 0 or beyond the readout means the whole pulse.
+func (c *Calibration) sampleLimit(n int, uptoNs float64) int {
 	if uptoNs <= 0 || uptoNs > c.DurationNs {
 		uptoNs = c.DurationNs
 	}
-	limit := int(uptoNs * c.SampleRateGSPS)
-	if limit > len(p.Samples) {
-		limit = len(p.Samples)
+	if limit := int(uptoNs * c.SampleRateGSPS); limit < n {
+		return limit
 	}
-	return Demodulate(p.Samples, 0, limit, c.Omega())
+	return n
 }
 
 // ExpectedCenters returns the noise-free demodulated IQ centers for states

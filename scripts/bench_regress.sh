@@ -3,9 +3,9 @@
 # execution hot paths (`make bench-regress`).
 #
 # Runs the short-mode micro-benchmarks (1Q/2Q kernels, fused-vs-unfused
-# chains, state readbacks, pulse synthesis, fused classification, and
-# the stabilizer-tableau hot paths: CNOT row update, measurement
-# collapse, d=15 surface memory cycle) and
+# chains, state readbacks, pulse synthesis, fused classification, one
+# readout-channel calibration, and the stabilizer-tableau hot paths: CNOT
+# row update, measurement collapse, d=15 surface memory cycle) and
 # compares them against the checked-in baseline, scripts/bench_baseline.txt.
 # The gate fails when
 #
@@ -36,7 +36,7 @@ TOL="${BENCH_REGRESS_TOL:-0.50}"
 COUNT="${BENCH_REGRESS_COUNT:-3}"
 TIME="${BENCH_REGRESS_TIME:-0.1s}"
 PKGS=(./internal/quantum ./internal/readout ./internal/stabilizer)
-BENCH='^(BenchmarkApply1Q|BenchmarkApply2Q|BenchmarkFusedVsUnfused|BenchmarkStateReadbacks|BenchmarkReadoutPulseGen|BenchmarkClassifyFullAndBits|BenchmarkTableauApplyCNOT|BenchmarkTableauMeasureRow|BenchmarkTableauMemoryCycleD15)$'
+BENCH='^(BenchmarkApply1Q|BenchmarkApply2Q|BenchmarkFusedVsUnfused|BenchmarkStateReadbacks|BenchmarkReadoutPulseGen|BenchmarkClassifyFullAndBits|BenchmarkNewChannel|BenchmarkTableauApplyCNOT|BenchmarkTableauMeasureRow|BenchmarkTableauMemoryCycleD15)$'
 
 run_bench() {
     "$GO" test "${PKGS[@]}" -run '^$' -bench "$BENCH" \
