@@ -14,7 +14,7 @@ COVER_TARGETS := cover-fault cover-server cover-stabilizer cover-store cover-cha
 # the BENCH_engine.json snapshot.
 TRACE_OVERHEAD_TOL ?= 0.01
 
-.PHONY: tier1 ci fuzz-smoke $(COVER_TARGETS) backend-diff serve-smoke cluster-smoke crash-smoke chaos-smoke trace-overhead bench-engine bench-store bench bench-regress bench-baseline profile
+.PHONY: tier1 ci fuzz-smoke $(COVER_TARGETS) backend-diff e2e-check serve-smoke cluster-smoke crash-smoke chaos-smoke trace-overhead bench-engine bench-store bench bench-regress bench-baseline profile
 
 tier1:
 	$(GO) build ./...
@@ -26,6 +26,7 @@ ci: tier1
 	$(MAKE) backend-diff
 	$(MAKE) fuzz-smoke
 	$(MAKE) $(COVER_TARGETS)
+	$(MAKE) e2e-check
 	$(MAKE) trace-overhead
 	$(MAKE) bench-regress
 	$(MAKE) serve-smoke
@@ -64,6 +65,16 @@ $(COVER_TARGETS): cover-%:
 # for every Clifford workload at workers 1/4/8.
 backend-diff:
 	$(GO) test ./internal/core -run '^TestBackendDifferential' -v -count=1
+
+# Correctness pass of the end-to-end benchmark harness: one short run per
+# benchmark workload with tracing off. The harness exits non-zero when a
+# job's event stream fails its checks or a served result differs from a
+# direct library run of the same job.
+e2e-check:
+	@for w in sweep-small surface-d15 sharded-durable; do \
+		echo "e2e-check: $$w"; \
+		bash e2ebench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # End-to-end service gate: boot arteryd on an ephemeral port, drive it
 # with the loadgen (concurrent clients, zero dropped jobs, every 429 must

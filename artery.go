@@ -219,7 +219,9 @@ func WithDynamicalDecoupling() Option { return func(c *config) { c.DynamicalDeco
 
 // WithQuasiStaticSigma adds a per-shot frozen frequency detuning (rad/ns)
 // to the noise model; see Options.QuasiStaticSigma.
-func WithQuasiStaticSigma(sigma float64) Option { return func(c *config) { c.QuasiStaticSigma = sigma } }
+func WithQuasiStaticSigma(sigma float64) Option {
+	return func(c *config) { c.QuasiStaticSigma = sigma }
+}
 
 // WithTracing records typed span events for every shot of every run —
 // readout classification, per-window posterior evolution, interconnect
@@ -633,11 +635,11 @@ func (s *System) Compare(wl *Workload, shots int) []Report {
 func (s *System) PredictShot(state int, prior float64) ShotTrace {
 	cfg := predict.Config{Theta0: s.opts.Theta, Theta1: s.opts.Theta, Mode: predict.Mode(s.opts.Mode)}
 	p := predict.New(cfg, s.channel)
-	pulse := s.channel.Cal.Synthesize(state, s.rng)
-	d := p.PredictWithHistory(pulse, prior)
+	r := s.channel.Read(state, s.rng, nil, nil, nil)
+	d := p.Predict(r, prior, nil)
 	tr := ShotTrace{
 		Prepared:  state,
-		Truth:     s.channel.Classifier.ClassifyFull(pulse),
+		Truth:     r.Truth,
 		Branch:    d.Branch,
 		Committed: d.Committed,
 		TimeUs:    d.TimeNs / 1000,

@@ -31,24 +31,12 @@ type Site struct {
 	UndoOnZeroNs float64
 }
 
-// Shot is one feedback execution: the captured readout pulse and its
-// ground-truth branch outcome.
-//
-// The engine's parallel pipeline demodulates pulses on its shot workers
-// and hands controllers the result instead of the raw samples: when Bits
-// is non-nil it holds the pulse's per-window trajectory classifications
-// (readout.Classifier.WindowBits) and Pulse may be nil; Truth is always
-// the full-pulse classification. Controllers must accept either form.
-//
-// Pulse is on loan for the duration of the Feedback call only: the engine
-// recycles the record through a pool the moment Feedback returns, so
-// controllers must not retain Pulse (or sub-slices of its samples) past
-// their return. Every in-tree controller demodulates what it needs inside
-// the call and drops the reference.
+// Shot is one feedback execution: the site's readout record — the
+// full-pulse classification (Truth, the branch outcome the hardware acts
+// on) and the window bits the predictor consumes — as the
+// state-classification unit reports it.
 type Shot struct {
-	Pulse *readout.Pulse
-	Bits  []int
-	Truth int
+	readout.Record
 	// Faults, when non-nil, is the shot's deterministic fault session: the
 	// controller draws its outage/jitter/backplane/table faults from it and
 	// applies its graceful-degradation policies. Nil means fault-free.
@@ -361,15 +349,7 @@ func (a *Artery) feedback(site Site, shot Shot) Outcome {
 	// The predictor always runs — even while degraded, its shadow decisions
 	// feed the tracker so recovery can be detected — with every state-table
 	// lookup passing through the session's corruption hook.
-	corrupt := sess.TableCorruptor()
-	var d predict.Decision
-	if shot.Bits != nil {
-		// Pre-demodulated shot: the expensive windowing already ran on an
-		// engine worker; only the Bayesian fusion happens here.
-		d = a.pred.PredictFromBitsFault(shot.Bits, shot.Truth, hist.P(), corrupt)
-	} else {
-		d = a.pred.PredictWithHistoryFault(shot.Pulse, hist.P(), corrupt)
-	}
+	d := a.pred.Predict(shot.Record, hist.P(), sess.TableCorruptor())
 	d.RecordWindows(shot.Span)
 
 	if a.degrade.Degraded() {

@@ -88,6 +88,15 @@ func site1() Site {
 		Prior: 0.5, UndoOnOneNs: 30, UndoOnZeroNs: 0}
 }
 
+// preparedShot reads one pulse of a qubit prepared in state and labels the
+// shot with that state as its ground truth, whatever the pulse classifies
+// as.
+func preparedShot(ch *readout.Channel, state int, rng *stats.RNG) Shot {
+	shot := Shot{Record: ch.Read(state, rng, nil, nil, nil)}
+	shot.Truth = state
+	return shot
+}
+
 // siteWithPrior returns a case-1 site with the given branch-1 prior.
 func siteWithPrior(id int, prior float64) Site {
 	s := site1()
@@ -99,9 +108,7 @@ func siteWithPrior(id int, prior float64) Site {
 func TestArteryCorrectPredictionBeatsReadout(t *testing.T) {
 	a, ch := sharedArtery, sharedChannel
 	rng := stats.NewRNG(1)
-	shotPulse := ch.Cal.Synthesize(1, rng)
-	truth := ch.Classifier.ClassifyFull(shotPulse)
-	out := a.Feedback(siteWithPrior(10, 0.995), Shot{Pulse: shotPulse, Truth: truth})
+	out := a.Feedback(siteWithPrior(10, 0.995), Shot{Record: ch.Read(1, rng, nil, nil, nil)})
 	if !out.Committed {
 		t.Fatalf("no commitment: %+v", out)
 	}
@@ -116,8 +123,7 @@ func TestArteryMispredictionCostsRecovery(t *testing.T) {
 	a.PriorWeight = 100000 // make the prior overwhelming
 	rng := stats.NewRNG(2)
 	// Ground truth 0 but history screams 1 → early wrong commitment.
-	pulse := ch.Cal.Synthesize(0, rng)
-	out := a.Feedback(siteWithPrior(11, 0.9999), Shot{Pulse: pulse, Truth: 0})
+	out := a.Feedback(siteWithPrior(11, 0.9999), preparedShot(ch, 0, rng))
 	if out.Correct {
 		t.Skip("predictor recovered from the bad prior on this pulse")
 	}
@@ -134,9 +140,7 @@ func TestArteryCase3FloorsAtReadoutEnd(t *testing.T) {
 	rng := stats.NewRNG(3)
 	site := Site{ID: 12, Case: circuit.Case3ReadQubit, ReadQubit: 0, BranchQubit: 0,
 		Prior: 0.995, UndoOnOneNs: 30}
-	pulse := ch.Cal.Synthesize(1, rng)
-	truth := ch.Classifier.ClassifyFull(pulse)
-	out := a.Feedback(site, Shot{Pulse: pulse, Truth: truth})
+	out := a.Feedback(site, Shot{Record: ch.Read(1, rng, nil, nil, nil)})
 	if !out.Committed || !out.Correct {
 		t.Skipf("unexpected shot: %+v", out)
 	}
@@ -154,9 +158,7 @@ func TestArteryCase4NeverPreExecutes(t *testing.T) {
 	a, ch := sharedArtery, sharedChannel
 	rng := stats.NewRNG(4)
 	site := Site{ID: 13, Case: circuit.Case4Irreversible, ReadQubit: 0, BranchQubit: 2, Prior: 0.5}
-	pulse := ch.Cal.Synthesize(1, rng)
-	truth := ch.Classifier.ClassifyFull(pulse)
-	out := a.Feedback(site, Shot{Pulse: pulse, Truth: truth})
+	out := a.Feedback(site, Shot{Record: ch.Read(1, rng, nil, nil, nil)})
 	if out.Committed {
 		t.Fatal("case-4 site committed a pre-execution")
 	}
@@ -171,11 +173,10 @@ func TestArteryRemoteBranchPaysTransit(t *testing.T) {
 	rng := stats.NewRNG(5)
 	local := Site{ID: 14, Case: circuit.Case1Independent, ReadQubit: 0, BranchQubit: 1, Prior: 0.995}
 	remote := Site{ID: 15, Case: circuit.Case1Independent, ReadQubit: 0, BranchQubit: 13, Prior: 0.995}
-	// Use the same pulse for both.
-	pulse := ch.Cal.Synthesize(1, rng)
-	truth := ch.Classifier.ClassifyFull(pulse)
-	oL := a.Feedback(local, Shot{Pulse: pulse, Truth: truth})
-	oR := a.Feedback(remote, Shot{Pulse: pulse, Truth: truth})
+	// Use the same readout for both.
+	shot := Shot{Record: ch.Read(1, rng, nil, nil, nil)}
+	oL := a.Feedback(local, shot)
+	oR := a.Feedback(remote, shot)
 	if !oL.Committed || !oR.Committed || !oL.Correct || !oR.Correct {
 		t.Skipf("shots not both correct commits: %+v %+v", oL, oR)
 	}
@@ -189,10 +190,7 @@ func TestArteryRemoteBranchPaysTransit(t *testing.T) {
 
 func TestBaselineLatencies(t *testing.T) {
 	topo := interconnect.PaperTopology()
-	rng := stats.NewRNG(6)
-	ch := sharedChannel
-	pulse := ch.Cal.Synthesize(0, rng)
-	shot := Shot{Pulse: pulse, Truth: 0}
+	shot := Shot{Record: readout.Record{Truth: 0}}
 	wants := map[string]float64{
 		"QubiC":          2150,
 		"HERQULES":       2170,
@@ -213,11 +211,9 @@ func TestBaselineLatencies(t *testing.T) {
 func TestBaselineRemotePaysSerdes(t *testing.T) {
 	topo := interconnect.PaperTopology()
 	b := NewBaseline("QubiC", QubiCOverheadNs, topo)
-	rng := stats.NewRNG(7)
-	pulse := sharedChannel.Cal.Synthesize(0, rng)
-	local := b.Feedback(site1(), Shot{Pulse: pulse, Truth: 0})
+	local := b.Feedback(site1(), Shot{})
 	remoteSite := Site{ID: 16, Case: circuit.Case1Independent, ReadQubit: 0, BranchQubit: 13, Prior: 0.5}
-	remote := b.Feedback(remoteSite, Shot{Pulse: pulse, Truth: 0})
+	remote := b.Feedback(remoteSite, Shot{})
 	if remote.LatencyNs <= local.LatencyNs {
 		t.Fatal("remote baseline feedback not slower")
 	}
@@ -233,9 +229,7 @@ func TestArteryAverageBeatsQubiCOnBalancedWorkload(t *testing.T) {
 	var sumA, sumQ float64
 	const shots = 300
 	for i := 0; i < shots; i++ {
-		pulse := ch.Cal.Synthesize(i%2, rng)
-		truth := ch.Classifier.ClassifyFull(pulse)
-		shot := Shot{Pulse: pulse, Truth: truth}
+		shot := Shot{Record: ch.Read(i%2, rng, nil, nil, nil)}
 		sumA += a.Feedback(site1(), shot).LatencyNs
 		sumQ += qubic.Feedback(site1(), shot).LatencyNs
 	}
@@ -251,8 +245,7 @@ func TestArteryOnlineLearning(t *testing.T) {
 	site := siteWithPrior(17, 0.5)
 	before := a.siteHistory(site).P()
 	for i := 0; i < 30; i++ {
-		pulse := ch.Cal.Synthesize(1, rng)
-		a.Feedback(site, Shot{Pulse: pulse, Truth: 1})
+		a.Feedback(site, preparedShot(ch, 1, rng))
 	}
 	if a.siteHistory(site).P() <= before {
 		t.Fatal("online mode did not update the site history")
@@ -271,9 +264,7 @@ func TestLatencyBreakdownSumsToLatency(t *testing.T) {
 	checked := 0
 	for _, site := range sites {
 		for i := 0; i < 10; i++ {
-			pulse := ch.Cal.Synthesize(1, rng)
-			truth := ch.Classifier.ClassifyFull(pulse)
-			out := a.Feedback(site, Shot{Pulse: pulse, Truth: truth})
+			out := a.Feedback(site, Shot{Record: ch.Read(1, rng, nil, nil, nil)})
 			if !out.Committed || !out.Correct {
 				continue
 			}
@@ -301,9 +292,8 @@ func TestFormatSequence(t *testing.T) {
 	a, ch := testRig(84, predict.DefaultConfig())
 	a.Online = false
 	rng := stats.NewRNG(21)
-	pulse := ch.Cal.Synthesize(1, rng)
-	truth := ch.Classifier.ClassifyFull(pulse)
-	out := a.Feedback(siteWithPrior(40, 0.99), Shot{Pulse: pulse, Truth: truth})
+	shot := Shot{Record: ch.Read(1, rng, nil, nil, nil)}
+	out := a.Feedback(siteWithPrior(40, 0.99), shot)
 	s := FormatSequence(siteWithPrior(40, 0.99), out, ReadoutNs)
 	for _, want := range []string{"readout pulse starts", "t="} {
 		if !strings.Contains(s, want) {
@@ -315,7 +305,7 @@ func TestFormatSequence(t *testing.T) {
 	}
 	// Conventional (baseline) sequence renders too.
 	b := NewBaseline("QubiC", QubiCOverheadNs, interconnect.PaperTopology())
-	outB := b.Feedback(site1(), Shot{Pulse: pulse, Truth: truth})
+	outB := b.Feedback(site1(), shot)
 	sb := FormatSequence(site1(), outB, ReadoutNs)
 	if !strings.Contains(sb, "conventional path") {
 		t.Fatalf("baseline sequence wrong:\n%s", sb)

@@ -31,12 +31,10 @@ func policyWith(mut func(*fault.Config)) fault.Config {
 func TestArteryOutageFallsBack(t *testing.T) {
 	a, ch := testRig(301, predict.DefaultConfig())
 	cfg := policyWith(func(c *fault.Config) { c.ReadoutOutageRate = 0.999 })
-	rng := stats.NewRNG(5)
-	pulse := ch.Cal.Synthesize(1, rng)
-	truth := ch.Classifier.ClassifyFull(pulse)
+	r := ch.Read(1, stats.NewRNG(5), nil, nil, nil)
 
 	sess := faultSession(t, cfg, 21)
-	out := a.Feedback(site1(), Shot{Pulse: pulse, Truth: truth, Faults: sess})
+	out := a.Feedback(site1(), Shot{Record: r, Faults: sess})
 	if sess.C.Outages != 1 {
 		t.Skipf("outage did not fire at this seed (rate 0.999)")
 	}
@@ -66,9 +64,10 @@ func TestArteryDegradesAndRecovers(t *testing.T) {
 	// every time → mispredictions → the tracker must trip within a window.
 	tripped := -1
 	for i := 0; i < cfg.FallbackWindow+4; i++ {
-		pulse := ch.Cal.Synthesize(0, rng)
+		shot := preparedShot(ch, 0, rng)
 		sess := in.Session(rng.Split())
-		out := a.Feedback(site, Shot{Pulse: pulse, Truth: 0, Faults: sess})
+		shot.Faults = sess
+		out := a.Feedback(site, shot)
 		if out.FellBack {
 			tripped = i
 			if sess.C.Fallbacks != 1 {
@@ -92,9 +91,9 @@ func TestArteryDegradesAndRecovers(t *testing.T) {
 	// the bad rate falls below FallbackRecover and prediction resumes.
 	recovered := false
 	for i := 0; i < 3*cfg.FallbackWindow; i++ {
-		pulse := ch.Cal.Synthesize(1, rng)
-		sess := in.Session(rng.Split())
-		out := a.Feedback(site, Shot{Pulse: pulse, Truth: 1, Faults: sess})
+		shot := preparedShot(ch, 1, rng)
+		shot.Faults = in.Session(rng.Split())
+		out := a.Feedback(site, shot)
 		if !out.FellBack {
 			if !out.Committed {
 				t.Fatalf("recovered feedback did not commit: %+v", out)
@@ -114,7 +113,7 @@ func TestArteryLostTriggerFallsBack(t *testing.T) {
 	a.PriorWeight = 100000
 	cfg := policyWith(func(c *fault.Config) {
 		c.BackplaneDropRate = 0.999 // every hop drops: trigger cannot get out
-		c.FallbackTrip = 0         // keep the tracker out of the way
+		c.FallbackTrip = 0          // keep the tracker out of the way
 		c.FallbackRecover = 0
 	})
 	rng := stats.NewRNG(7)
@@ -122,9 +121,10 @@ func TestArteryLostTriggerFallsBack(t *testing.T) {
 	site := Site{ID: 50, Case: circuit.Case1Independent, ReadQubit: 0, BranchQubit: 6,
 		Prior: 0.9999, UndoOnOneNs: 30}
 
-	pulse := ch.Cal.Synthesize(1, rng)
 	sess := faultSession(t, cfg, 31)
-	out := a.Feedback(site, Shot{Pulse: pulse, Truth: 1, Faults: sess})
+	shot := preparedShot(ch, 1, rng)
+	shot.Faults = sess
+	out := a.Feedback(site, shot)
 	if sess.C.LostTriggers != 1 {
 		t.Skipf("trigger survived a 0.999 drop rate at this seed: %+v", sess.C)
 	}
@@ -143,27 +143,27 @@ func TestArteryJitterDelaysCommittedTrigger(t *testing.T) {
 	// Two identical rigs, one fault-free and one with heavy trigger jitter:
 	// the faulted committed feedback must be strictly slower and the clean
 	// one unchanged by the (draw-free) zero-rate session.
-	mk := func() (*Artery, *readout.Pulse, int) {
+	mk := func() (*Artery, Shot) {
 		a, ch := testRig(304, predict.DefaultConfig())
 		a.Online = false
 		a.PriorWeight = 100000
-		pulse := ch.Cal.Synthesize(1, stats.NewRNG(8))
-		return a, pulse, 1
+		return a, preparedShot(ch, 1, stats.NewRNG(8))
 	}
-	aClean, pulse, truth := mk()
-	base := aClean.Feedback(siteWithPrior(60, 0.9999), Shot{Pulse: pulse, Truth: truth})
+	aClean, shot := mk()
+	base := aClean.Feedback(siteWithPrior(60, 0.9999), shot)
 	if !base.Committed || !base.Correct {
 		t.Skipf("committed-correct baseline not reached: %+v", base)
 	}
 
-	aJit, pulse2, _ := mk()
+	aJit, shot := mk()
 	cfg := policyWith(func(c *fault.Config) {
 		c.TriggerJitterNs = 500
 		c.FallbackTrip = 0
 		c.FallbackRecover = 0
 	})
 	sess := faultSession(t, cfg, 41)
-	out := aJit.Feedback(siteWithPrior(60, 0.9999), Shot{Pulse: pulse2, Truth: truth, Faults: sess})
+	shot.Faults = sess
+	out := aJit.Feedback(siteWithPrior(60, 0.9999), shot)
 	if !out.Committed {
 		t.Fatalf("jittered shot did not commit: %+v", out)
 	}
@@ -180,7 +180,7 @@ func TestBaselineOutagePenalty(t *testing.T) {
 	b := NewBaseline("QubiC", QubiCOverheadNs, topo)
 	cfg := policyWith(func(c *fault.Config) { c.ReadoutOutageRate = 0.999 })
 	sess := faultSession(t, cfg, 51)
-	out := b.Feedback(site1(), Shot{Truth: 1, Faults: sess})
+	out := b.Feedback(site1(), Shot{Record: readout.Record{Truth: 1}, Faults: sess})
 	if sess.C.Outages != 1 {
 		t.Skipf("outage did not fire at this seed")
 	}
@@ -197,7 +197,7 @@ func TestBaselineRemoteRetriesStretchLatency(t *testing.T) {
 	topo := interconnect.PaperTopology()
 	b := NewBaseline("QubiC", QubiCOverheadNs, topo)
 	remote := Site{ID: 70, Case: circuit.Case1Independent, ReadQubit: 0, BranchQubit: 6}
-	clean := b.Feedback(remote, Shot{Truth: 0})
+	clean := b.Feedback(remote, Shot{})
 
 	cfg := policyWith(func(c *fault.Config) { c.BackplaneCorruptRate = 0.6 })
 	in := fault.NewInjector(cfg)
@@ -205,7 +205,7 @@ func TestBaselineRemoteRetriesStretchLatency(t *testing.T) {
 	sawRetry := false
 	for i := 0; i < 50 && !sawRetry; i++ {
 		sess := in.Session(rng.Split())
-		out := b.Feedback(remote, Shot{Truth: 0, Faults: sess})
+		out := b.Feedback(remote, Shot{Faults: sess})
 		if sess.C.Retries > 0 {
 			sawRetry = true
 			if out.LatencyNs <= clean.LatencyNs {
@@ -225,9 +225,8 @@ func TestArteryFaultFreeSessionIsTransparent(t *testing.T) {
 	// every outcome identical to the fault-free path.
 	mkOut := func(sess *fault.Session) Outcome {
 		a, ch := testRig(305, predict.DefaultConfig())
-		pulse := ch.Cal.Synthesize(1, stats.NewRNG(10))
-		truth := ch.Classifier.ClassifyFull(pulse)
-		return a.Feedback(siteWithPrior(80, 0.995), Shot{Pulse: pulse, Truth: truth, Faults: sess})
+		shot := Shot{Record: ch.Read(1, stats.NewRNG(10), nil, nil, nil), Faults: sess}
+		return a.Feedback(siteWithPrior(80, 0.995), shot)
 	}
 	ref := mkOut(nil)
 	// DefaultPolicy has all rates zero; such an injector is never installed

@@ -167,10 +167,10 @@ func (e *Engine) runShotBackend(b quantum.Backend, wl *workload.Workload, plan *
 	if tape.NumSites > 0 {
 		sr.Outcomes = make([]controller.Outcome, 0, tape.NumSites)
 	}
+	bits := e.siteBits(tape.NumSites)
 	// Clifford-safe noise has no quasi-static component: nil, zero draws
 	// (and the state path draws zero here too, keeping streams aligned).
 	e.Noise.SampleDetunings(c.NumQubits, rng)
-	pp := e.pulsePool()
 	for oi := range tape.Ops {
 		op := &tape.Ops[oi]
 		switch op.Kind {
@@ -207,13 +207,9 @@ func (e *Engine) runShotBackend(b quantum.Backend, wl *workload.Workload, plan *
 				sr.Measurements = append(sr.Measurements, m)
 			}
 
-			pulse := pp.Get()
-			e.Channel.Cal.SynthesizeInto(pulse, m, rng)
-			sess.GlitchIQ(pulse.Samples)
 			span.SetSite(op.Site, fb.Qubit)
-			truth := e.Channel.Classifier.ClassifyFullTrace(pulse, span)
-			out := e.Ctrl.Feedback(e.siteFor(a, op.Site, fb, prior), controller.Shot{Pulse: pulse, Truth: truth, Faults: sess, Span: span})
-			pp.Put(pulse)
+			r := e.readSite(bits, op.Site, m, rng, sess, span)
+			out := e.Ctrl.Feedback(e.siteFor(a, op.Site, fb, prior), controller.Shot{Record: r, Faults: sess, Span: span})
 			sr.Outcomes = append(sr.Outcomes, out)
 			sr.FeedbackLatencyNs += out.LatencyNs
 
@@ -244,7 +240,7 @@ func (e *Engine) runShotBackend(b quantum.Backend, wl *workload.Workload, plan *
 			// The hardware acts on its classification (truth), which may
 			// disagree with the physical state m on a readout error.
 			bt := op.OnOne
-			if truth == 0 {
+			if r.Truth == 0 {
 				bt = op.OnZero
 			}
 			e.applyTapeNoisyB(b, bt, rng)

@@ -87,9 +87,9 @@ type Engine struct {
 	// circuit's instruction structure and apply every gate individually, the
 	// original execution path. Compiled execution is bit-identical (the
 	// differential tests prove it), so this exists as the reference for
-	// those tests and as an escape hatch, not as a user-facing mode.
-	// (The stabilizer backend has no interpreted twin: tableau shots
-	// always replay the compiled tape.)
+	// those tests, not as a user-facing mode. (The stabilizer backend and
+	// the latency-only pipeline have no interpreted twin: tableau shots
+	// always replay the compiled tape, and pipeline shots walk no circuit.)
 	Interpreted bool
 	// Backend selects the simulation backend (state vector vs stabilizer
 	// tableau) for circuits the engine simulates; the zero value
@@ -114,8 +114,6 @@ type Engine struct {
 	pools map[int]*quantum.StatePool
 	// tabPools recycles stabilizer tableaus per register width.
 	tabPools map[int]*stabilizer.Pool
-	// pulsePools recycles readout pulse records per capture length.
-	pulsePools map[int]*readout.PulsePool
 }
 
 // circuitPlan is everything the engine precomputes per circuit: the
@@ -157,21 +155,19 @@ func (e *Engine) planFor(c *circuit.Circuit) *circuitPlan {
 	return p
 }
 
-// pulsePool returns the engine's shared pulse pool for the channel's
-// capture length.
-func (e *Engine) pulsePool() *readout.PulsePool {
-	n := e.Channel.Cal.Samples()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.pulsePools == nil {
-		e.pulsePools = map[int]*readout.PulsePool{}
-	}
-	p, ok := e.pulsePools[n]
-	if !ok {
-		p = readout.NewPulsePool(n)
-		e.pulsePools[n] = p
-	}
-	return p
+// siteBits returns a shot's window-bit backing for the given number of
+// feedback sites: readSite gives each site its own region, so every
+// record of the shot stays valid for as long as the shot's results do.
+func (e *Engine) siteBits(sites int) []int {
+	return make([]int, sites*e.Channel.Windows())
+}
+
+// readSite captures feedback site i's readout of a qubit in state into
+// the site's region of the shot's bit backing.
+func (e *Engine) readSite(bits []int, i, state int, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) readout.Record {
+	n := e.Channel.Windows()
+	// Full-capacity three-index sub-slice: a site appends exactly n bits.
+	return e.Channel.Read(state, rng, sess, span, bits[i*n:i*n:(i+1)*n])
 }
 
 // statePool returns the engine's shared state-vector pool for n qubits.
@@ -471,9 +467,9 @@ func (e *Engine) run(ctx context.Context, wl *workload.Workload, offset, shots i
 		})
 	case sk == simNone:
 		// Two-phase pipeline: the per-shot physics is independent of the
-		// controller when no state is simulated, so workers synthesize and
-		// classify the readout pulses while the sequential controller runs
-		// on the in-order merge path. A shot's fault session and trace span
+		// controller when no state is simulated, so workers capture the
+		// readout records while the sequential controller runs on the
+		// in-order merge path. A shot's fault session and trace span
 		// are used first by its worker (IQ glitches, classification events)
 		// and then by the merge path (controller faults and stage spans);
 		// the pipeline's reorder buffer guarantees the worker phase
@@ -489,7 +485,7 @@ func (e *Engine) run(ctx context.Context, wl *workload.Workload, offset, shots i
 			}
 			return synthOut{e.synthShot(wl, plan, shotRNGs[i], sessionOf(i), span), span}
 		}, func(i int, so synthOut) {
-			sr := e.feedbackShot(wl, plan, so.ss, sessionOf(i), so.span)
+			sr := e.feedbackShot(wl, plan, so.recs, sessionOf(i), so.span)
 			if i < offset {
 				return // warmup: controller state only
 			}
@@ -546,9 +542,9 @@ type shotOut struct {
 	span *trace.ShotSpan
 }
 
-// synthOut pairs a shot's pre-computed physics with its trace span.
+// synthOut pairs a shot's readout records with its trace span.
 type synthOut struct {
-	ss   []siteShot
+	recs []readout.Record
 	span *trace.ShotSpan
 }
 
@@ -652,6 +648,7 @@ func (e *Engine) runShotWalk(wl *workload.Workload, analyses []*circuit.SiteAnal
 	}
 
 	sr := ShotResult{FeedbackLatencyNs: wl.GatePayloadNs, Fidelity: math.NaN()}
+	bits := e.siteBits(len(analyses))
 	var detunings []float64
 	if simulate {
 		detunings = e.Noise.SampleDetunings(c.NumQubits, rng)
@@ -704,14 +701,9 @@ func (e *Engine) runShotWalk(wl *workload.Workload, analyses []*circuit.SiteAnal
 				sr.Measurements = append(sr.Measurements, m)
 			}
 
-			pulse := e.Channel.Cal.Synthesize(m, rng)
-			// IQ glitches corrupt the captured record before anything
-			// downstream (classification included) sees it — exactly where
-			// an amplifier spike lands on hardware.
-			sess.GlitchIQ(pulse.Samples)
 			span.SetSite(siteIdx, fb.Qubit)
-			truth := e.Channel.Classifier.ClassifyFullTrace(pulse, span)
-			out := e.Ctrl.Feedback(e.siteFor(a, siteIdx, fb, prior), controller.Shot{Pulse: pulse, Truth: truth, Faults: sess, Span: span})
+			r := e.readSite(bits, siteIdx, m, rng, sess, span)
+			out := e.Ctrl.Feedback(e.siteFor(a, siteIdx, fb, prior), controller.Shot{Record: r, Faults: sess, Span: span})
 			sr.Outcomes = append(sr.Outcomes, out)
 			sr.FeedbackLatencyNs += out.LatencyNs
 
@@ -746,7 +738,7 @@ func (e *Engine) runShotWalk(wl *workload.Workload, analyses []*circuit.SiteAnal
 				}
 				// The hardware acts on its classification (truth), which may
 				// disagree with the physical state m on a readout error.
-				e.applyBody(noisy, bodyOf(fb, truth), rng)
+				e.applyBody(noisy, bodyOf(fb, r.Truth), rng)
 
 				// Ideal reference: perfect hardware follows the physical
 				// outcome instantly and noiselessly.
@@ -777,12 +769,11 @@ func (e *Engine) runShotWalk(wl *workload.Workload, analyses []*circuit.SiteAnal
 
 // runShotCompiled executes one shot by replaying the circuit's compiled
 // op-tape: adjacent same-wire single-qubit gates arrive pre-fused with
-// their kernels precomputed, branch bodies arrive precompiled (inverses
-// included), and readout pulses come from the engine's pulse pool instead
-// of the heap. The noisy state still advances gate by gate — per-gate
-// noise draws must interleave exactly as in the interpreted walk — but
-// the noiseless ideal reference evolves through fused kernel chains,
-// and no per-shot allocation survives into the steady state.
+// their kernels precomputed, and branch bodies arrive precompiled
+// (inverses included). The noisy state still advances gate by gate —
+// per-gate noise draws must interleave exactly as in the interpreted
+// walk — but the noiseless ideal reference evolves through fused kernel
+// chains.
 func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simulate bool, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
 	c := wl.Circuit
 	tape := plan.tape
@@ -812,6 +803,7 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 	if tape.NumSites > 0 {
 		sr.Outcomes = make([]controller.Outcome, 0, tape.NumSites)
 	}
+	bits := e.siteBits(tape.NumSites)
 	var detunings []float64
 	if simulate {
 		detunings = e.Noise.SampleDetunings(c.NumQubits, rng)
@@ -822,7 +814,6 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 		}
 		return detunings[q]
 	}
-	pp := e.pulsePool()
 	for oi := range tape.Ops {
 		op := &tape.Ops[oi]
 		switch op.Kind {
@@ -870,15 +861,9 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 				sr.Measurements = append(sr.Measurements, m)
 			}
 
-			pulse := pp.Get()
-			e.Channel.Cal.SynthesizeInto(pulse, m, rng)
-			sess.GlitchIQ(pulse.Samples)
 			span.SetSite(op.Site, fb.Qubit)
-			truth := e.Channel.Classifier.ClassifyFullTrace(pulse, span)
-			out := e.Ctrl.Feedback(e.siteFor(a, op.Site, fb, prior), controller.Shot{Pulse: pulse, Truth: truth, Faults: sess, Span: span})
-			// Shot.Pulse's no-retention contract makes the pooled pulse safe
-			// to recycle the moment Feedback returns.
-			pp.Put(pulse)
+			r := e.readSite(bits, op.Site, m, rng, sess, span)
+			out := e.Ctrl.Feedback(e.siteFor(a, op.Site, fb, prior), controller.Shot{Record: r, Faults: sess, Span: span})
 			sr.Outcomes = append(sr.Outcomes, out)
 			sr.FeedbackLatencyNs += out.LatencyNs
 
@@ -916,7 +901,7 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 				// The hardware acts on its classification (truth), which may
 				// disagree with the physical state m on a readout error.
 				bt := op.OnOne
-				if truth == 0 {
+				if r.Truth == 0 {
 					bt = op.OnZero
 				}
 				e.applyTapeNoisy(noisy, bt, rng)
@@ -974,84 +959,42 @@ func (e *Engine) applyTapeNoisy(s *quantum.State, t *circuit.Tape, rng *stats.RN
 	}
 }
 
-// siteShot is the controller-independent physics of one feedback site of
-// one shot, computed by a worker: the ground-truth full-pulse
-// classification and the windowed trajectory bits. The raw pulse (2000
-// complex samples) is dropped immediately, bounding the reorder buffer's
-// memory.
-type siteShot struct {
-	truth int
-	bits  []int
-}
-
 // synthShot runs the physics of one shot when no state is simulated: per
-// feedback site, draw the qubit state from the site's prior, synthesize
-// the readout pulse, classify it, and demodulate its trajectory windows.
-// The RNG draw order matches runShot's non-simulated path exactly, so a
-// shot's physics is bit-identical whichever path executes it. Fault draws
-// (IQ glitches) come from the shot's own session, never the physics
-// stream. The span (worker-private until merge) receives the shot's
-// payload span and per-site classification events.
-//
-// The compiled flavor synthesizes into pooled pulse records, fuses the
-// full-pulse classification with the window demodulation into one pass
-// over the samples, and packs every site's bits into a single per-shot
-// backing array; Engine.Interpreted selects the original alloc-per-site
-// two-pass formulation, which produces bit-identical results.
-func (e *Engine) synthShot(wl *workload.Workload, plan *circuitPlan, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) []siteShot {
+// feedback site, draw the qubit state from the site's prior and capture
+// its readout record. The RNG draw order matches runShot's non-simulated
+// path exactly, so a shot's physics is bit-identical whichever path
+// executes it. Fault draws (IQ glitches) come from the shot's own session,
+// never the physics stream. The span (worker-private until merge)
+// receives the shot's payload span and per-site classification events.
+// The records' bits share one per-shot backing and are small next to the
+// pulses they summarize, which bounds the reorder buffer's memory.
+func (e *Engine) synthShot(wl *workload.Workload, plan *circuitPlan, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) []readout.Record {
 	span.Span(trace.StagePayload, 0, wl.GatePayloadNs)
-	ss := make([]siteShot, len(wl.SiteP1))
-	if e.Interpreted {
-		for i, prior := range wl.SiteP1 {
-			var m int
-			if rng.Bool(prior) {
-				m = 1
-			}
-			pulse := e.Channel.Cal.Synthesize(m, rng)
-			sess.GlitchIQ(pulse.Samples)
-			span.SetSite(i, plan.siteOps[i].FB.Qubit)
-			ss[i] = siteShot{
-				truth: e.Channel.Classifier.ClassifyFullTrace(pulse, span),
-				bits:  e.Channel.Classifier.WindowBits(pulse, 0),
-			}
-		}
-		return ss
-	}
-	pp := e.pulsePool()
-	nWin := e.Channel.Cal.Samples() / e.Channel.Cal.WindowSamples(e.Channel.Classifier.WindowNs)
-	backing := make([]int, len(ss)*nWin)
+	recs := make([]readout.Record, len(wl.SiteP1))
+	bits := e.siteBits(len(recs))
 	for i, prior := range wl.SiteP1 {
 		var m int
 		if rng.Bool(prior) {
 			m = 1
 		}
-		pulse := pp.Get()
-		e.Channel.Cal.SynthesizeInto(pulse, m, rng)
-		sess.GlitchIQ(pulse.Samples)
 		span.SetSite(i, plan.siteOps[i].FB.Qubit)
-		// Full-capacity three-index sub-slice: each site appends exactly
-		// nWin bits; an overflow would spill into a fresh allocation rather
-		// than a neighbor's region.
-		dst := backing[i*nWin : i*nWin : (i+1)*nWin]
-		truth, bits := e.Channel.Classifier.ClassifyFullAndBitsTrace(pulse, span, dst)
-		pp.Put(pulse)
-		ss[i] = siteShot{truth: truth, bits: bits}
+		recs[i] = e.readSite(bits, i, m, rng, sess, span)
 	}
-	return ss
+	return recs
 }
 
 // feedbackShot drives the (sequential) controller over one shot's
-// pre-synthesized sites in site order and assembles the ShotResult. Site
+// readout records in site order and assembles the ShotResult. Site
 // descriptors come from the plan's cached analyses and feedback tape ops.
-func (e *Engine) feedbackShot(wl *workload.Workload, plan *circuitPlan, ss []siteShot, sess *fault.Session, span *trace.ShotSpan) ShotResult {
+func (e *Engine) feedbackShot(wl *workload.Workload, plan *circuitPlan, recs []readout.Record, sess *fault.Session, span *trace.ShotSpan) ShotResult {
 	sr := ShotResult{FeedbackLatencyNs: wl.GatePayloadNs, Fidelity: math.NaN()}
-	sr.Outcomes = make([]controller.Outcome, 0, len(ss))
-	for i, s := range ss {
+	sr.Outcomes = make([]controller.Outcome, 0, len(recs))
+	for i, r := range recs {
 		fb := plan.siteOps[i].FB
 		span.SetSite(i, fb.Qubit)
 		out := e.Ctrl.Feedback(
 			e.siteFor(plan.analyses[i], i, fb, wl.SiteP1[i]),
-			controller.Shot{Truth: s.truth, Bits: s.bits, Faults: sess, Span: span},
+			controller.Shot{Record: r, Faults: sess, Span: span},
 		)
 		sr.Outcomes = append(sr.Outcomes, out)
 		sr.FeedbackLatencyNs += out.LatencyNs

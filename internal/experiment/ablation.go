@@ -78,13 +78,12 @@ func (s *Suite) predictorQuality(ch *readout.Channel, shots int, salt uint64) (a
 	committed, correct := 0, 0
 	var t stats.RunningMean
 	for i := 0; i < shots; i++ {
-		pl := ch.Cal.Synthesize(i%2, rng)
-		truth := ch.Classifier.ClassifyFull(pl)
-		d := p.PredictWithHistory(pl, 0.5)
+		r := ch.Read(i%2, rng, nil, nil, nil)
+		d := p.Predict(r, 0.5, nil)
 		t.Add(d.TimeNs)
 		if d.Committed {
 			committed++
-			if d.Branch == truth {
+			if d.Branch == r.Truth {
 				correct++
 			}
 		}

@@ -113,9 +113,8 @@ func (s *Suite) ablationAccuracy(wl *workloadT, mode predict.Mode, salt uint64) 
 			if rng.Bool(prior) {
 				state = 1
 			}
-			pulse := ch.Cal.Synthesize(state, rng)
-			truth := ch.Classifier.ClassifyFull(pulse)
-			d := p.PredictWithHistory(pulse, prior)
+			r := ch.Read(state, rng, nil, nil, nil)
+			d := p.Predict(r, prior, nil)
 			guess := d.Branch
 			if !d.Committed {
 				// Forced call from the final posterior (no free fallback to
@@ -129,7 +128,7 @@ func (s *Suite) ablationAccuracy(wl *workloadT, mode predict.Mode, salt uint64) 
 					guess = 1
 				}
 			}
-			if guess == truth {
+			if guess == r.Truth {
 				ok++
 			}
 			total++

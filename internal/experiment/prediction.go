@@ -30,9 +30,8 @@ func (s *Suite) Figure15a() *Table {
 		if rng.Bool(prior) {
 			state = 1
 		}
-		pulse := ch.Cal.Synthesize(state, rng)
-		truth := ch.Classifier.ClassifyFull(pulse)
-		d := p.PredictWithHistory(pulse, prior)
+		r := ch.Read(state, rng, nil, nil, nil)
+		d := p.Predict(r, prior, nil)
 		total++
 		for ci, tNs := range checkpoints {
 			// Latest posterior at or before the checkpoint.
@@ -46,7 +45,7 @@ func (s *Suite) Figure15a() *Table {
 			if post >= 0.5 {
 				guess = 1
 			}
-			if guess == truth {
+			if guess == r.Truth {
 				correct[ci]++
 			}
 		}

@@ -31,9 +31,10 @@ type TuneConfig struct {
 	// Candidates to evaluate; nil selects the default ladder
 	// 0.55..0.99.
 	Candidates []float64
-	// Prior is the site's historical branch-1 probability.
+	// Prior is the site's historical branch-1 probability, in [0, 1]
+	// (0 selects 0.5).
 	Prior float64
-	// Shots per candidate (default 400).
+	// Shots per candidate (default 400); negative is an error.
 	Shots int
 	// MinAccuracy discards candidates below this committed accuracy
 	// (default 0.85, keeping the paper's >90% operating regime reachable).
@@ -70,24 +71,28 @@ func (c *TuneConfig) fill() {
 // recovery, a non-commit costs the conventional path — and pick the
 // latency-minimizing threshold subject to the accuracy floor.
 func AutoTune(ch *readout.Channel, cfg TuneConfig, rng *stats.RNG) (TuneResult, error) {
+	if cfg.Shots < 0 {
+		return TuneResult{}, fmt.Errorf("predict: negative tuning shot count %d", cfg.Shots)
+	}
+	if !(cfg.Prior >= 0 && cfg.Prior <= 1) {
+		return TuneResult{}, fmt.Errorf("predict: prior %v out of [0,1]", cfg.Prior)
+	}
 	cfg.fill()
 	if len(cfg.Candidates) == 0 {
 		return TuneResult{}, fmt.Errorf("predict: no threshold candidates")
 	}
 
-	// Pre-generate the tuning shots once so candidates see identical data.
-	type shot struct {
-		pulse *readout.Pulse
-		truth int
-	}
-	shots := make([]shot, cfg.Shots)
+	// Pre-generate the tuning shots' readout records once so candidates
+	// see identical data.
+	n := ch.Windows()
+	backing := make([]int, cfg.Shots*n)
+	shots := make([]readout.Record, cfg.Shots)
 	for i := range shots {
 		state := 0
 		if rng.Bool(cfg.Prior) {
 			state = 1
 		}
-		p := ch.Cal.Synthesize(state, rng)
-		shots[i] = shot{pulse: p, truth: ch.Classifier.ClassifyFull(p)}
+		shots[i] = ch.Read(state, rng, nil, nil, backing[i*n:i*n:(i+1)*n])
 	}
 
 	conventional := ch.Cal.DurationNs + 160 // full readout + processing chain
@@ -101,12 +106,12 @@ func AutoTune(ch *readout.Channel, cfg TuneConfig, rng *stats.RNG) (TuneResult, 
 		p := New(Config{Theta0: theta, Theta1: theta, Mode: cfg.Mode}, ch)
 		var lat stats.RunningMean
 		committed, correct := 0, 0
-		for _, sh := range shots {
-			d := p.PredictWithHistory(sh.pulse, cfg.Prior)
+		for _, r := range shots {
+			d := p.Predict(r, cfg.Prior, nil)
 			switch {
 			case !d.Committed:
 				lat.Add(conventional)
-			case d.Branch == sh.truth:
+			case d.Branch == r.Truth:
 				committed++
 				correct++
 				lat.Add(d.TimeNs)

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"math"
 	"testing"
 
 	"artery/internal/stats"
@@ -50,6 +51,21 @@ func TestAutoTuneRejectsBadCandidates(t *testing.T) {
 	}
 	if _, err := AutoTune(sharedChannel, TuneConfig{Candidates: []float64{}, Shots: 10}, rng); err == nil {
 		t.Fatal("empty candidate list accepted")
+	}
+	// Bad shot counts and priors are rejected before anything is drawn.
+	for _, cfg := range []TuneConfig{
+		{Prior: 0.5, Shots: -1},
+		{Prior: 1.5, Shots: 10},
+		{Prior: -0.2, Shots: 10},
+		{Prior: math.NaN(), Shots: 10},
+	} {
+		before := *rng
+		if _, err := AutoTune(sharedChannel, cfg, rng); err == nil {
+			t.Fatalf("prior %v, %d shots accepted", cfg.Prior, cfg.Shots)
+		}
+		if *rng != before {
+			t.Fatalf("prior %v, %d shots: rejected config drew from rng", cfg.Prior, cfg.Shots)
+		}
 	}
 }
 

@@ -165,66 +165,19 @@ func (p *Predictor) PHistory1() float64 { return p.history.P() }
 // The paper performs this after each prediction at zero latency cost.
 func (p *Predictor) Observe(outcome int) { p.history.Observe(outcome == 1) }
 
-// UpdateTable refines the trajectory state table with a completed shot,
-// the between-program dynamic update of §4.
-func (p *Predictor) UpdateTable(pulse *readout.Pulse, outcome int) {
-	bits := p.channel.Classifier.WindowBits(pulse, 0)
-	for n := 1; n <= len(bits); n++ {
-		p.channel.Table.Update(bits[:n], outcome)
-	}
-}
-
-// Predict runs the iterative analysis over a shot's readout pulse and
-// returns the decision, using the predictor's own historical counter.
-func (p *Predictor) Predict(pulse *readout.Pulse) Decision {
-	return p.PredictWithHistory(pulse, p.history.P())
-}
-
-// PredictWithHistory runs the iterative analysis with an externally
-// supplied historical probability — used by the controller, which keeps
-// one historical distribution per feedback site (branch statistics of
-// different sites are independent, §4). The posterior is evaluated at
-// every window boundary; the branch commits at the first threshold
-// crossing.
-func (p *Predictor) PredictWithHistory(pulse *readout.Pulse, pHist float64) Decision {
-	return p.PredictWithHistoryFault(pulse, pHist, nil)
-}
-
-// PredictWithHistoryFault is PredictWithHistory with a table-fault hook:
-// when tableFault is non-nil every state-table lookup passes through it
-// before entering the Bayesian fusion, which is how the fault subsystem
-// models corrupted table RAM (a nil hook is the fault-free fast path).
-func (p *Predictor) PredictWithHistoryFault(pulse *readout.Pulse, pHist float64, tableFault func(float64) float64) Decision {
-	bits := p.channel.Classifier.WindowBits(pulse, 0)
-	return p.predictBits(bits, pHist, tableFault, func() int {
-		return p.channel.Classifier.ClassifyFull(pulse)
-	})
-}
-
-// PredictFromBits runs the same iterative analysis over a pulse that has
-// already been demodulated into per-window bits, with final the pulse's
-// full-readout classification (used only when no threshold is crossed).
-// PredictFromBits(WindowBits(pulse, 0), ClassifyFull(pulse), h) returns a
-// Decision identical to PredictWithHistory(pulse, h) — the engine's
-// parallel pipeline uses it to keep the cheap Bayesian fusion on the
-// sequential merge path while workers do the windowing.
-func (p *Predictor) PredictFromBits(bits []int, final int, pHist float64) Decision {
-	return p.predictBits(bits, pHist, nil, func() int { return final })
-}
-
-// PredictFromBitsFault is PredictFromBits with the table-fault hook of
-// PredictWithHistoryFault.
-func (p *Predictor) PredictFromBitsFault(bits []int, final int, pHist float64, tableFault func(float64) float64) Decision {
-	return p.predictBits(bits, pHist, tableFault, func() int { return final })
-}
-
-// predictBits evaluates the posterior at every window boundary and commits
-// at the first threshold crossing; finalFn supplies the full-readout
-// classification for the no-commitment fallback (deferred because the
-// committed path never needs it). tableFault, when non-nil, intercepts
-// every state-table lookup (fault injection).
-func (p *Predictor) predictBits(bits []int, pHist float64, tableFault func(float64) float64, finalFn func() int) Decision {
+// Predict runs the iterative analysis over one feedback site's readout
+// record and returns the decision. pHist is the site's historical
+// probability of branch 1 — the controller keeps one historical
+// distribution per feedback site, since branch statistics of different
+// sites are independent (§4). The posterior is evaluated at every window
+// boundary and the branch commits at the first threshold crossing; with
+// no crossing the decision falls back to the record's full-readout
+// classification. tableFault, when non-nil, intercepts every state-table
+// lookup before the Bayesian fusion, which is how the fault subsystem
+// models corrupted table RAM.
+func (p *Predictor) Predict(r readout.Record, pHist float64, tableFault func(float64) float64) Decision {
 	windowNs := p.channel.Classifier.WindowNs
+	bits := r.Bits
 
 	// One window boundary per bit: size the trace once instead of letting
 	// append re-grow it inside the per-shot hot loop.
@@ -258,13 +211,12 @@ func (p *Predictor) predictBits(bits []int, pHist float64, tableFault func(float
 		}
 	}
 	// No commitment: fall back to the conventional full-readout path.
-	final := finalFn()
 	pFinal := 0.0
 	if len(trace) > 0 {
 		pFinal = trace[len(trace)-1].PPredict
 	}
 	return Decision{
-		Branch:    final,
+		Branch:    r.Truth,
 		Committed: false,
 		TimeNs:    p.channel.Cal.DurationNs,
 		PFinal:    pFinal,
@@ -282,9 +234,9 @@ func (p *Predictor) Accuracy(pulses []*readout.Pulse) (acc, meanTimeNs float64) 
 	ok := 0
 	var t stats.RunningMean
 	for _, pl := range pulses {
-		d := p.Predict(pl)
-		truth := p.channel.Classifier.ClassifyFull(pl)
-		if d.Branch == truth {
+		r := p.channel.Classifier.ClassifyFullAndBits(pl, nil)
+		d := p.Predict(r, p.history.P(), nil)
+		if d.Branch == r.Truth {
 			ok++
 		}
 		t.Add(d.TimeNs)
@@ -292,16 +244,8 @@ func (p *Predictor) Accuracy(pulses []*readout.Pulse) (acc, meanTimeNs float64) 
 	return float64(ok) / float64(len(pulses)), t.Mean()
 }
 
-// WindowNs exposes the channel's demodulation window length.
-func (p *Predictor) WindowNs() float64 { return p.channel.Classifier.WindowNs }
-
 // ReadoutDurationNs exposes the channel's full readout duration.
 func (p *Predictor) ReadoutDurationNs() float64 { return p.channel.Cal.DurationNs }
-
-// TruthOf returns the ground-truth branch outcome of a pulse.
-func (p *Predictor) TruthOf(pulse *readout.Pulse) int {
-	return p.channel.Classifier.ClassifyFull(pulse)
-}
 
 // EstimateLatencyBudget reports, for diagnostics, how much of the
 // commitment latency is pipeline math versus windows: the Bayesian model

@@ -91,9 +91,7 @@ func TestPredictorCommitsEarlyWithStrongHistory(t *testing.T) {
 	// QEC-like site: history overwhelmingly 0 → commits branch 0 fast.
 	p := New(DefaultConfig(), sharedChannel)
 	p.SeedHistory(1, 400) // P_history_1 ≈ 0.0025 (paper: < 1% in QEC)
-	rng := stats.NewRNG(2)
-	pulse := sharedChannel.Cal.Synthesize(0, rng)
-	d := p.Predict(pulse)
+	d := p.Predict(sharedChannel.Read(0, stats.NewRNG(2), nil, nil, nil), p.PHistory1(), nil)
 	if !d.Committed || d.Branch != 0 {
 		t.Fatalf("decision = %+v, want committed branch 0", d)
 	}
@@ -111,8 +109,7 @@ func TestPredictorUniformHistoryNeedsMoreReadout(t *testing.T) {
 	var early, committed int
 	const n = 100
 	for i := 0; i < n; i++ {
-		pulse := sharedChannel.Cal.Synthesize(i%2, rng)
-		d := p.Predict(pulse)
+		d := p.Predict(sharedChannel.Read(i%2, rng, nil, nil, nil), p.PHistory1(), nil)
 		if d.Committed {
 			committed++
 			if d.TimeNs <= 30 {
@@ -153,7 +150,7 @@ func TestPredictorFallbackUsesFullReadout(t *testing.T) {
 	p := New(cfg, sharedChannel)
 	rng := stats.NewRNG(5)
 	pulse := sharedChannel.Cal.Synthesize(1, rng)
-	d := p.Predict(pulse)
+	d := p.Predict(sharedChannel.Classifier.ClassifyFullAndBits(pulse, nil), p.PHistory1(), nil)
 	if d.Committed {
 		t.Fatalf("committed despite extreme thresholds: %+v", d)
 	}
@@ -170,16 +167,15 @@ func TestModeHistoryDecidesAtFirstWindowOrNever(t *testing.T) {
 	cfg.Mode = ModeHistory
 	p := New(cfg, sharedChannel)
 	p.SeedHistory(500, 1)
-	rng := stats.NewRNG(6)
-	pulse := sharedChannel.Cal.Synthesize(1, rng)
-	d := p.Predict(pulse)
+	r := sharedChannel.Read(1, stats.NewRNG(6), nil, nil, nil)
+	d := p.Predict(r, p.PHistory1(), nil)
 	if !d.Committed || d.Branch != 1 || d.TimeNs != 30 {
 		t.Fatalf("history-only strong prior: %+v", d)
 	}
 	// Weak prior: never commits, exactly one trace point.
 	p2 := New(cfg, sharedChannel)
 	p2.SeedHistory(10, 10)
-	d2 := p2.Predict(pulse)
+	d2 := p2.Predict(r, p2.PHistory1(), nil)
 	if d2.Committed {
 		t.Fatalf("history-only weak prior committed: %+v", d2)
 	}
@@ -199,8 +195,8 @@ func TestModeTrajectoryIgnoresHistory(t *testing.T) {
 	pB.SeedHistory(1, 1000)
 	rng := stats.NewRNG(7)
 	for i := 0; i < 50; i++ {
-		pulse := sharedChannel.Cal.Synthesize(i%2, rng)
-		dA, dB := pA.Predict(pulse), pB.Predict(pulse)
+		r := sharedChannel.Read(i%2, rng, nil, nil, nil)
+		dA, dB := pA.Predict(r, pA.PHistory1(), nil), pB.Predict(r, pB.PHistory1(), nil)
 		if dA.Branch != dB.Branch || dA.TimeNs != dB.TimeNs || dA.Committed != dB.Committed {
 			t.Fatalf("history leaked into trajectory-only decision: %+v vs %+v", dA, dB)
 		}
@@ -242,24 +238,9 @@ func TestObserveShiftsHistory(t *testing.T) {
 	}
 }
 
-func TestUpdateTableRefines(t *testing.T) {
-	ch := readout.NewChannel(readout.DefaultCalibration(), 30, 6, stats.NewRNG(9))
-	p := New(DefaultConfig(), ch)
-	rng := stats.NewRNG(10)
-	pulse := ch.Cal.Synthesize(1, rng)
-	bits := ch.Classifier.WindowBits(pulse, 0)
-	before := ch.Table.PRead1(bits)
-	p.UpdateTable(pulse, 1)
-	after := ch.Table.PRead1(bits)
-	if after < before {
-		t.Fatalf("table update lowered P for an observed-1 trajectory: %v -> %v", before, after)
-	}
-}
-
 func TestTraceMonotoneTime(t *testing.T) {
 	p := New(DefaultConfig(), sharedChannel)
-	rng := stats.NewRNG(11)
-	d := p.Predict(sharedChannel.Cal.Synthesize(1, rng))
+	d := p.Predict(sharedChannel.Read(1, stats.NewRNG(11), nil, nil, nil), p.PHistory1(), nil)
 	for i := 1; i < len(d.Trace); i++ {
 		if d.Trace[i].TimeNs <= d.Trace[i-1].TimeNs {
 			t.Fatal("trace times not increasing")

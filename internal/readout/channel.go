@@ -1,7 +1,11 @@
 package readout
 
 import (
+	"sync"
+
+	"artery/internal/fault"
 	"artery/internal/stats"
+	"artery/internal/trace"
 )
 
 // Calibration sizing: the paper's corpus is 4,000 captured pulses, 1,000
@@ -18,10 +22,9 @@ const (
 // calibration, a trained classifier and a trained trajectory state table.
 // It is what the feedback controller instantiates per qubit.
 //
-// Concurrency contract: Synthesize/Classify*/WindowBits/PRead1 are pure
-// reads, so one Channel may be shared by all of an engine's shot workers.
-// Training and tuning (Table.Update, retuning the classifier) are not
-// synchronized — do not run them while shots are in flight.
+// Concurrency contract: a channel is read-only once built — Read,
+// Synthesize, Classify*, WindowBits and PRead1 never mutate it — so one
+// Channel may be shared by all of an engine's shot workers.
 type Channel struct {
 	Cal        *Calibration
 	Classifier *Classifier
@@ -90,4 +93,49 @@ func (ch *Channel) Accuracy(pulses []*Pulse) float64 {
 		}
 	}
 	return float64(ok) / float64(len(pulses))
+}
+
+// Record is one feedback site's readout as the state-classification unit
+// reports it (Figure 7c): the full-pulse classification and the window
+// bits. It is everything downstream of the unit — controller and
+// predictor — ever sees of a readout; the waveform stays here.
+type Record struct {
+	// Truth is the full-pulse classification: the outcome the hardware
+	// acts on, and the predictor's fallback when it never commits.
+	Truth int
+	// Bits classifies the cumulative IQ integral at each window boundary,
+	// earliest first (Classifier.WindowBits of the whole pulse).
+	Bits []int
+}
+
+// Windows returns the number of window bits in one of the channel's
+// records.
+func (ch *Channel) Windows() int {
+	return ch.Cal.sampleLimit(ch.Cal.Samples(), 0) / ch.Cal.WindowSamples(ch.Classifier.WindowNs)
+}
+
+// readScratch recycles Read's pulse records across shots and channels; a
+// 2 µs capture at 1 GSPS is 32 KiB of samples. SynthesizeInto overwrites
+// every sample and grows a record that is too short, so any pooled record
+// serves any channel.
+var readScratch = sync.Pool{New: func() any { return new(Pulse) }}
+
+// Read captures one readout of a qubit in state (0 or 1) and returns its
+// record. It synthesizes the pulse from rng, lets sess inject an IQ glitch
+// into the captured samples (where an amplifier spike lands on hardware,
+// after the physics draws), demodulates the pulse once, and records the
+// classification into span as a StageClassifyFull annotation over the
+// readout window. sess and span may be nil.
+//
+// The bits are appended to dst[:0], so a record owns dst's backing array
+// and stays valid after Read returns. With cap(dst) >= Windows() a warm
+// Read allocates nothing.
+func (ch *Channel) Read(state int, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan, dst []int) Record {
+	p := readScratch.Get().(*Pulse)
+	ch.Cal.SynthesizeInto(p, state, rng)
+	sess.GlitchIQ(p.Samples)
+	r := ch.Classifier.ClassifyFullAndBits(p, dst)
+	readScratch.Put(p)
+	span.Annotate(trace.StageClassifyFull, 0, ch.Cal.DurationNs, r.Truth, 0)
+	return r
 }

@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 
 	"artery/internal/stats"
-	"artery/internal/trace"
 )
 
 // Classifier assigns qubit states to demodulated IQ points by distance to
@@ -97,16 +96,6 @@ func (c *Classifier) classifyIntegrated(pt IQ) int {
 	return 0
 }
 
-// ClassifyFullTrace is ClassifyFull with a trace hook: the classification
-// is additionally recorded into span as a StageClassifyFull annotation
-// covering the full readout window. Nil-safe via the span — the engine
-// calls it unconditionally on its instrumented paths.
-func (c *Classifier) ClassifyFullTrace(p *Pulse, span *trace.ShotSpan) int {
-	state := c.ClassifyFull(p)
-	span.Annotate(trace.StageClassifyFull, 0, c.cal.DurationNs, state, 0)
-	return state
-}
-
 // WindowBits classifies the cumulative IQ trajectory at each window
 // boundary of the first uptoNs of the pulse and returns the bit sequence
 // (earliest first). Later bits integrate more of the pulse and are
@@ -151,25 +140,16 @@ func (c *Classifier) windowBits(dst []int, p *Pulse, uptoNs float64) (bits []int
 	return bits, sumI, sumQ, limit
 }
 
-// ClassifyFullAndBits computes the full-pulse classification and the
-// window bits in one pass over the samples (appending bits into dst, which
-// may be nil). The cumulative sums at the final sample are exactly the
-// integrated-IQ sums — same operations, same order — so both results are
-// bit-identical to calling ClassifyFull and WindowBits separately, for
-// half the demodulation work.
-func (c *Classifier) ClassifyFullAndBits(p *Pulse, dst []int) (truth int, bits []int) {
+// ClassifyFullAndBits computes a pulse's readout record — the full-pulse
+// classification and the window bits — in one pass over the samples
+// (appending the bits into dst, which may be nil). The cumulative sums at
+// the final sample are exactly the integrated-IQ sums — same operations,
+// same order — so the record is bit-identical to calling ClassifyFull and
+// WindowBits separately, for half the demodulation work.
+func (c *Classifier) ClassifyFullAndBits(p *Pulse, dst []int) Record {
 	bits, sumI, sumQ, limit := c.windowBits(dst, p, 0)
 	norm := float64(limit) + 1
-	return c.classifyIntegrated(IQ{I: sumI / norm, Q: sumQ / norm}), bits
-}
-
-// ClassifyFullAndBitsTrace is ClassifyFullAndBits with ClassifyFullTrace's
-// span annotation, emitted after the classification exactly as the
-// separate calls would.
-func (c *Classifier) ClassifyFullAndBitsTrace(p *Pulse, span *trace.ShotSpan, dst []int) (truth int, bits []int) {
-	truth, bits = c.ClassifyFullAndBits(p, dst)
-	span.Annotate(trace.StageClassifyFull, 0, c.cal.DurationNs, truth, 0)
-	return truth, bits
+	return Record{Truth: c.classifyIntegrated(IQ{I: sumI / norm, Q: sumQ / norm}), Bits: bits}
 }
 
 // StateTable is the pre-generated <trajectory, P_read_1> table of §4: it
@@ -186,9 +166,8 @@ func (c *Classifier) ClassifyFullAndBitsTrace(p *Pulse, span *trace.ShotSpan, ds
 // branch decider reads them. Without this, late windows would inflate the
 // early buckets and the decider would commit overconfident predictions.
 //
-// The table is trained once at hardware initialization (here: from the
-// training split of the pulse dataset) and optionally refined between
-// programs via Update.
+// The table is trained once at hardware initialization, from the
+// training split of the pulse corpus, and only read afterwards.
 type StateTable struct {
 	K int // number of branch-history registers (paper default: 6)
 	// buckets is the time-bucket count (1 = the paper's single table).

@@ -114,15 +114,15 @@ func TestClassifyFullAndBitsMatchesSeparateCalls(t *testing.T) {
 		p := cal.Synthesize(shot%2, rng)
 		wantTruth := cl.ClassifyFull(p)
 		wantBits := cl.WindowBits(p, 0)
-		gotTruth, gotBits := cl.ClassifyFullAndBits(p, dst[:0])
-		if gotTruth != wantTruth {
-			t.Fatalf("shot %d: fused truth %d != separate %d", shot, gotTruth, wantTruth)
+		got := cl.ClassifyFullAndBits(p, dst[:0])
+		if got.Truth != wantTruth {
+			t.Fatalf("shot %d: fused truth %d != separate %d", shot, got.Truth, wantTruth)
 		}
-		if len(gotBits) != len(wantBits) {
-			t.Fatalf("shot %d: fused %d bits != separate %d", shot, len(gotBits), len(wantBits))
+		if len(got.Bits) != len(wantBits) {
+			t.Fatalf("shot %d: fused %d bits != separate %d", shot, len(got.Bits), len(wantBits))
 		}
 		for i := range wantBits {
-			if gotBits[i] != wantBits[i] {
+			if got.Bits[i] != wantBits[i] {
 				t.Fatalf("shot %d: bit %d differs", shot, i)
 			}
 		}
@@ -150,34 +150,6 @@ func TestSynthesizeIntoZeroAllocsWarm(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { c.SynthesizeInto(p, 1, rng) }); n != 0 {
 		t.Fatalf("warm SynthesizeInto allocates %.1f times per call, want 0", n)
 	}
-}
-
-// TestPulsePoolRoundTrip covers the pool contract: wrong-capacity and nil
-// records are rejected, recycled ones come back usable.
-func TestPulsePoolRoundTrip(t *testing.T) {
-	pp := NewPulsePool(100)
-	if pp.Samples() != 100 {
-		t.Fatalf("pool reports %d samples, want 100", pp.Samples())
-	}
-	p := pp.Get()
-	if cap(p.Samples) < 100 {
-		t.Fatalf("pooled pulse has capacity %d, want >= 100", cap(p.Samples))
-	}
-	pp.Put(p)
-	pp.Put(nil)                                     // ignored
-	pp.Put(&Pulse{Samples: make([]complex128, 10)}) // wrong capacity: dropped
-	if q := pp.Get(); cap(q.Samples) < 100 {
-		t.Fatalf("pool returned an undersized record (cap %d)", cap(q.Samples))
-	}
-}
-
-func TestPulsePoolPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewPulsePool(0) did not panic")
-		}
-	}()
-	NewPulsePool(0)
 }
 
 // BenchmarkReadoutPulseGen measures the synthesis hot path — the dominant
@@ -214,7 +186,7 @@ func BenchmarkClassifyFullAndBits(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, dst = cl.ClassifyFullAndBits(p, dst[:0])
+			dst = cl.ClassifyFullAndBits(p, dst[:0]).Bits
 		}
 	})
 	b.Run("separate", func(b *testing.B) {

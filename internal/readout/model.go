@@ -138,9 +138,9 @@ func (c *Calibration) Synthesize(state int, rng *stats.RNG) *Pulse {
 	return p
 }
 
-// SynthesizeInto is Synthesize writing into a caller-owned record (pool
-// reuse): p.Samples is resized in place, so a pulse recycled through a
-// PulsePool synthesizes without allocating. The RNG draw sequence — one
+// SynthesizeInto is Synthesize writing into a caller-owned record:
+// p.Samples is resized in place, so a recycled pulse synthesizes without
+// allocating. The RNG draw sequence — one
 // optional relaxation draw, then two normal deviates per sample — and every
 // output bit match Synthesize exactly.
 //

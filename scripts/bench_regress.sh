@@ -36,7 +36,7 @@ TOL="${BENCH_REGRESS_TOL:-0.50}"
 COUNT="${BENCH_REGRESS_COUNT:-3}"
 TIME="${BENCH_REGRESS_TIME:-0.1s}"
 PKGS=(./internal/quantum ./internal/readout ./internal/stabilizer)
-BENCH='^(BenchmarkApply1Q|BenchmarkApply2Q|BenchmarkFusedVsUnfused|BenchmarkStateReadbacks|BenchmarkReadoutPulseGen|BenchmarkClassifyFullAndBits|BenchmarkNewChannel|BenchmarkTableauApplyCNOT|BenchmarkTableauMeasureRow|BenchmarkTableauMemoryCycleD15)$'
+BENCH='^(BenchmarkApply1Q|BenchmarkApply2Q|BenchmarkFusedVsUnfused|BenchmarkStateReadbacks|BenchmarkReadoutPulseGen|BenchmarkClassifyFullAndBits|BenchmarkChannelRead|BenchmarkNewChannel|BenchmarkTableauApplyCNOT|BenchmarkTableauMeasureRow|BenchmarkTableauMemoryCycleD15)$'
 
 run_bench() {
     "$GO" test "${PKGS[@]}" -run '^$' -bench "$BENCH" \
