@@ -1,6 +1,7 @@
 # Verification and benchmark targets. `make tier1` is the repository's
-# baseline gate; `make ci` adds vet and the race detector over the
-# concurrent engine/experiment paths (tier-2 verify, see ROADMAP.md).
+# baseline gate; `make ci` adds a gofmt check, vet and the race detector
+# over the concurrent engine/experiment paths (tier-2 verify, see
+# ROADMAP.md).
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -14,13 +15,22 @@ COVER_TARGETS := cover-fault cover-server cover-stabilizer cover-store cover-cha
 # the BENCH_engine.json snapshot.
 TRACE_OVERHEAD_TOL ?= 0.01
 
-.PHONY: tier1 ci fuzz-smoke $(COVER_TARGETS) backend-diff e2e-check serve-smoke cluster-smoke crash-smoke chaos-smoke trace-overhead bench-engine bench-store bench bench-regress bench-baseline profile
+.PHONY: fmt-check tier1 ci fuzz-smoke $(COVER_TARGETS) backend-diff e2e-check serve-smoke cluster-smoke crash-smoke chaos-smoke trace-overhead bench-engine bench-store bench bench-regress bench-baseline profile
 
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-ci: tier1
+# Fails when gofmt would reformat a tracked Go file, and when listing the
+# files or running gofmt fails. Listing files through git skips the
+# untracked module cache under .bench_build/; the toolchain's own gofmt
+# keeps the check on the build's Go version.
+fmt-check:
+	@gofiles="$$(git ls-files '*.go')" && [ -n "$$gofiles" ] || exit 1; \
+	files="$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$gofiles)" || exit 1; \
+	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
+
+ci: fmt-check tier1
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 	$(MAKE) backend-diff

@@ -3,6 +3,7 @@ package artery
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -27,6 +28,10 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"workers negative", WithWorkers(-1), "Workers"},
 		{"sigma negative", WithQuasiStaticSigma(-0.1), "QuasiStaticSigma"},
 		{"mode unknown", WithMode(PredictorMode(99)), "mode"},
+		{"theta NaN", WithTheta(math.NaN()), "Theta"},
+		{"window NaN", WithWindowNs(math.NaN()), "WindowNs"},
+		{"sigma NaN", WithQuasiStaticSigma(math.NaN()), "QuasiStaticSigma"},
+		{"sigma +Inf", WithQuasiStaticSigma(math.Inf(1)), "QuasiStaticSigma"},
 	}
 	for _, c := range cases {
 		sys, err := New(c.opt)
@@ -105,6 +110,12 @@ func TestRunWithContextRejectsBadInput(t *testing.T) {
 	}
 	if _, err := s.RunWithContext(context.Background(), "NoSuch", QRW(1), 10); err == nil {
 		t.Fatal("unknown controller accepted")
+	}
+	if _, err := s.RunWithContext(context.Background(), "ARTERY", QRW(2), -1); err == nil {
+		t.Fatal("negative shot count accepted")
+	}
+	if _, err := s.RunRangeStream(context.Background(), "QubiC", QRW(2), math.MaxInt-2, 8, nil); err == nil {
+		t.Fatal("overflowing shot range accepted")
 	}
 }
 

@@ -240,15 +240,16 @@ func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 
 // New calibrates a system: it generates the training pulse corpus, fits
 // the readout classifier, and pre-generates the trajectory state table
-// (the paper's hardware-initialization step). It returns an error for
-// out-of-range settings (Theta outside (0.5, 1), negative WindowNs,
-// HistoryDepth outside [1, 20], ...).
+// (the paper's hardware-initialization step), afresh on every call;
+// CalibrationCache.New shares one calibration between systems. It returns
+// an error for out-of-range or non-finite settings (Theta outside
+// (0.5, 1), negative WindowNs, HistoryDepth outside [1, 20], ...).
 func New(opts ...Option) (*System, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return newSystem(cfg)
+	return newSystem(cfg, nil)
 }
 
 // FromOptions is New for the struct-based Options configuration of
@@ -260,7 +261,7 @@ func New(opts ...Option) (*System, error) {
 //	sys, err := artery.FromOptions(artery.Options{Seed: 7}) // new
 //	sys := artery.MustNew(artery.WithSeed(7))           // new, panicking
 func FromOptions(opts Options) (*System, error) {
-	return newSystem(config{Options: opts})
+	return newSystem(config{Options: opts}, nil)
 }
 
 // MustNew is New but panics on an invalid configuration — convenient in
@@ -300,14 +301,16 @@ func ValidateOptions(opts Options) error {
 	return validateConfig(cfg)
 }
 
-// newSystem applies defaults, validates, and calibrates.
-func newSystem(cfg config) (*System, error) {
+// newSystem applies defaults, validates, and calibrates, through cache
+// when it is non-nil. The calibration stream is rng.Split() of the system
+// RNG, spelled out so that a cache hit takes the same one draw.
+func newSystem(cfg config, cache *CalibrationCache) (*System, error) {
 	applyDefaults(&cfg)
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	ch := readout.NewChannel(readout.DefaultCalibration(), cfg.WindowNs, cfg.HistoryDepth, rng.Split())
+	ch := cache.channel(calibKey{seed: rng.Uint64(), windowNs: cfg.WindowNs, k: cfg.HistoryDepth})
 	s := &System{opts: cfg.Options, channel: ch, topo: interconnect.PaperTopology(), rng: rng}
 	if cfg.traceW != nil {
 		s.rec = trace.NewRecorder(0)
@@ -319,8 +322,17 @@ func newSystem(cfg config) (*System, error) {
 	return s, nil
 }
 
-// validateConfig rejects out-of-range settings after defaulting.
+// validateConfig rejects out-of-range settings after defaulting. Every
+// range check below is false for NaN, so non-finite values go first.
 func validateConfig(cfg config) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Theta", cfg.Theta}, {"WindowNs", cfg.WindowNs}, {"QuasiStaticSigma", cfg.QuasiStaticSigma}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("artery: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if cfg.Theta <= 0.5 || cfg.Theta >= 1 {
 		return fmt.Errorf("artery: Theta must lie in (0.5, 1), got %v", cfg.Theta)
 	}
@@ -512,6 +524,12 @@ func (s *System) runStream(ctx context.Context, name string, wl *Workload, offse
 	}
 	if offset < 0 {
 		return Report{}, fmt.Errorf("artery: shot offset must be non-negative, got %d", offset)
+	}
+	if shots < 0 {
+		return Report{}, fmt.Errorf("artery: shot count must be non-negative, got %d", shots)
+	}
+	if offset > math.MaxInt-shots {
+		return Report{}, fmt.Errorf("artery: shot range %d+%d overflows int", offset, shots)
 	}
 	ctrl, err := s.newController(name)
 	if err != nil {

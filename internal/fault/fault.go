@@ -47,9 +47,9 @@ type Config struct {
 	// IQGlitchRate is the probability that a captured pulse carries one
 	// glitch burst (amplifier saturation, clock slip) of GlitchSpanSamples
 	// samples at GlitchAmp amplitude.
-	IQGlitchRate     float64
+	IQGlitchRate      float64
 	GlitchSpanSamples int
-	GlitchAmp        float64
+	GlitchAmp         float64
 
 	// TriggerJitterNs is the mean of the exponential jitter added to a
 	// feedback trigger's issue time (0 disables jitter draws).
@@ -139,15 +139,15 @@ func (c Config) Enabled() bool {
 // Counters tallies injected faults and the degradation machinery's
 // responses. The zero value is ready to use.
 type Counters struct {
-	Drops       int // backplane messages lost in transit
-	Corruptions int // backplane messages failing their CRC
-	Retries     int // backplane resends issued
+	Drops        int // backplane messages lost in transit
+	Corruptions  int // backplane messages failing their CRC
+	Retries      int // backplane resends issued
 	LostTriggers int // triggers abandoned after MaxRetries
-	Outages     int // readout-channel outages
-	Glitches    int // IQ glitch bursts injected
-	Jitters     int // jittered trigger issues
-	TableFaults int // corrupted predictor-table lookups
-	Fallbacks   int // feedbacks served on the degraded blocking path
+	Outages      int // readout-channel outages
+	Glitches     int // IQ glitch bursts injected
+	Jitters      int // jittered trigger issues
+	TableFaults  int // corrupted predictor-table lookups
+	Fallbacks    int // feedbacks served on the degraded blocking path
 }
 
 // Add accumulates o into c.

@@ -136,11 +136,11 @@ func TestMessageHops(t *testing.T) {
 	cases := []struct {
 		src, dst, hops int
 	}{
-		{0, 5, 0},   // same FPGA: fabric wires, no message framing
-		{0, 0, 0},   // self
-		{0, 6, 2},   // same backplane, different FPGA: two serdes hops
-		{0, 12, 3},  // across backplanes: serdes + crossbar + serdes
-		{17, 0, 3},  // symmetric
+		{0, 5, 0},  // same FPGA: fabric wires, no message framing
+		{0, 0, 0},  // self
+		{0, 6, 2},  // same backplane, different FPGA: two serdes hops
+		{0, 12, 3}, // across backplanes: serdes + crossbar + serdes
+		{17, 0, 3}, // symmetric
 	}
 	for _, c := range cases {
 		if got := top.MessageHops(c.src, c.dst); got != c.hops {

@@ -10,10 +10,11 @@
 // A bounded queue provides backpressure (admission control never buffers
 // unbounded memory), a fixed-size dispatcher pool shares the machine's
 // worker budget across concurrent jobs, every job runs through
-// artery.RunRangeStream with its own seed — so results are bit-identical
-// regardless of co-tenancy — and graceful shutdown stops admission,
-// cancels in-flight jobs via their context and reports each one's
-// deterministic canceled prefix.
+// artery.RunRangeStream with its own seed (jobs with equal seed, window
+// and history depth share one read-only calibration) — so results are
+// bit-identical regardless of co-tenancy — and graceful shutdown stops
+// admission, cancels in-flight jobs via their context and reports each
+// one's deterministic canceled prefix.
 //
 // The wire schema lives in the shared artery/api package (imported by the
 // server, the scatter-gather coordinator and the Go client alike, so the

@@ -5,9 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"artery"
+	"artery/api"
 )
 
 // runJobToBytes submits req to a fresh server with the given worker
@@ -58,8 +63,7 @@ func TestResultDeterministicAcrossWorkerBudgets(t *testing.T) {
 
 // TestResubmitReproducesResult submits the same request twice to one
 // server — with another job interleaved between them — and requires
-// byte-identical result JSON: each job's system is private, so co-tenant
-// traffic cannot perturb it.
+// byte-identical result JSON: co-tenant traffic cannot perturb a job.
 func TestResubmitReproducesResult(t *testing.T) {
 	s := New(Config{QueueDepth: 8, MaxConcurrentJobs: 2, WorkerBudget: 2})
 	s.Start()
@@ -120,6 +124,84 @@ func TestStateSimResultHasFidelity(t *testing.T) {
 	for i, ev := range events {
 		if ev.Fidelity == nil {
 			t.Fatalf("event %d: null fidelity with state sim on", i)
+		}
+	}
+}
+
+// TestSharedCalibrationSameBytes runs one request twice at once and then
+// three times in sequence on one server. The five jobs share one
+// calibration, and every job's result and event bytes equal a fresh
+// library run of the request. /metrics counts one calibration and four
+// hits.
+func TestSharedCalibrationSameBytes(t *testing.T) {
+	const req = `{"workload":"qrw","param":3,"shots":40,"seed":9,"options":{"window_ns":40,"history_depth":5}}`
+	sys, err := artery.New(artery.WithSeed(9), artery.WithWindowNs(40), artery.WithHistoryDepth(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var libEvents []ShotEvent
+	rep, err := sys.RunRangeStream(context.Background(), "ARTERY", artery.QRW(3), 0, 40, func(u artery.ShotUpdate) {
+		libEvents = append(libEvents, api.EventFrom(u, false))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantResult, _ := json.Marshal(api.ResultFrom(rep))
+	wantEvents, _ := json.Marshal(libEvents)
+
+	s := New(Config{MaxConcurrentJobs: 2, WorkerBudget: 2})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	check := func(id string) {
+		evs, end := readStream(t, ts.URL, id)
+		if end.State != StateDone || end.Result == nil {
+			t.Fatalf("job %s ended %+v", id, end)
+		}
+		result, _ := json.Marshal(end.Result)
+		events, _ := json.Marshal(evs)
+		if !bytes.Equal(result, wantResult) {
+			t.Errorf("job %s result differs from the library run:\nserved:  %s\nlibrary: %s", id, result, wantResult)
+		}
+		if !bytes.Equal(events, wantEvents) {
+			t.Errorf("job %s events differ from the library run", id)
+		}
+	}
+	submit := func() string {
+		resp := postJob(t, ts.URL, req)
+		if resp.StatusCode != 202 {
+			t.Fatalf("submit: status %d", resp.StatusCode)
+		}
+		return decodeStatus(t, resp).ID
+	}
+
+	first, second := submit(), submit()
+	check(first)
+	check(second)
+	for i := 0; i < 3; i++ {
+		check(submit())
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{
+		"artery_server_calibrations_total 1\n",
+		"artery_server_calibration_hits_total 4\n",
+		// One k=5 entry: 16 time buckets × ((2^6 − 2) counters of 16 B
+		// + 7 slice headers of 24 B) + 1 KiB.
+		"artery_server_calibration_cache_bytes 19584\n",
+	} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("/metrics lacks %q", want)
 		}
 	}
 }

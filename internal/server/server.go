@@ -98,7 +98,9 @@ type serverMetrics struct {
 	completed, failed, canceled   *trace.Counter
 	shotsStreamed                 *trace.Counter
 	deadlineExpired               *trace.Counter
+	calibrations, calibrationHits *trace.Counter
 	queueDepth, running, draining *trace.Gauge
+	calibBytes                    *trace.Gauge
 	jobSeconds                    *trace.Histogram
 }
 
@@ -112,9 +114,12 @@ func newServerMetrics(reg *trace.Registry) serverMetrics {
 		failed:          reg.Counter("artery_server_jobs_failed_total", "jobs finished with an error"),
 		canceled:        reg.Counter("artery_server_jobs_canceled_total", "queued jobs canceled by shutdown before running"),
 		shotsStreamed:   reg.Counter("artery_server_shots_streamed_total", "per-shot updates committed across all jobs"),
+		calibrations:    reg.Counter("artery_server_calibrations_total", "readout calibrations run (calibration cache misses)"),
+		calibrationHits: reg.Counter("artery_server_calibration_hits_total", "jobs that reused a cached readout calibration"),
 		queueDepth:      reg.Gauge("artery_server_queue_depth", "jobs waiting in the admission queue"),
 		running:         reg.Gauge("artery_server_jobs_running", "jobs currently executing"),
 		draining:        reg.Gauge("artery_server_draining", "1 while the server is shutting down"),
+		calibBytes:      reg.Gauge("artery_server_calibration_cache_bytes", "bytes the calibration cache retains: state tables and the structures around them"),
 		jobSeconds:      reg.Histogram("artery_server_job_seconds", "job wall time from admission to completion", trace.DefaultJobSecondsBuckets()),
 	}
 }
@@ -131,6 +136,9 @@ type Server struct {
 	runCtx    context.Context
 	cancelRun context.CancelFunc
 	wg        sync.WaitGroup
+
+	// calib memoizes readout calibration across jobs.
+	calib artery.CalibrationCache
 
 	mu        sync.Mutex
 	jobs      map[string]*Job
@@ -366,11 +374,13 @@ func (s *Server) perJobWorkers() int {
 	return w
 }
 
-// execute runs one job end to end: build its private calibrated system
-// from the request's seed (co-tenant jobs share nothing stochastic, so
-// results are bit-identical regardless of what else is running), stream
-// per-shot updates into the job's event log as the engine's merge path
-// commits them, and record the final result — including the deterministic
+// execute runs one job end to end: build its system from the request's
+// seed through the server's calibration cache (jobs with equal seed,
+// window and history depth share one read-only calibrated channel, and a
+// shared channel changes no output byte, so results are bit-identical
+// regardless of what else is running or ran before), stream per-shot
+// updates into the job's event log as the engine's merge path commits
+// them, and record the final result — including the deterministic
 // canceled prefix if ctx was canceled mid-run by a drain.
 //
 // A job recovered from the journal mid-run carries a merged-event prefix
@@ -384,7 +394,8 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 		j.fail(err.Error(), s.now())
 		return
 	}
-	sys, err := artery.New(opts...)
+	sys, err := s.calib.New(opts...)
+	s.publishCalibration()
 	if err != nil {
 		j.fail(err.Error(), s.now())
 		return
@@ -440,6 +451,19 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 	cont := api.ResultFrom(rep)
 	agg.SetNames(cont)
 	j.complete(agg.Result(cont.Canceled), s.now())
+}
+
+// publishCalibration copies the calibration cache's counts into the
+// metrics registry. The cache's counts only move inside its New, so
+// calling this after every New keeps /metrics exact; mu orders the
+// copies so the counters never step back.
+func (s *Server) publishCalibration() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hits, misses, bytes := s.calib.Stats()
+	s.m.calibrations.Add(misses - s.m.calibrations.Value())
+	s.m.calibrationHits.Add(hits - s.m.calibrationHits.Value())
+	s.m.calibBytes.Set(float64(bytes))
 }
 
 // buildOptions maps a validated wire request onto artery functional
