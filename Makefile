@@ -44,15 +44,16 @@ ci: fmt-check tier1
 	$(MAKE) crash-smoke
 	$(MAKE) chaos-smoke
 
-# Short fuzzing pass over the pulse codecs and the compiled-vs-interpreted
-# circuit differential (one -fuzz target per invocation, as the go tool
-# requires).
+# Short fuzzing pass over the pulse codecs, the compiled-vs-interpreted
+# circuit differential and the NDJSON shot-event decoder (one -fuzz target
+# per invocation, as the go tool requires).
 fuzz-smoke:
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripHuffman$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripRLE$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripCombined$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/circuit -run '^$$' -fuzz '^FuzzCompiledVsInterpreted$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzBackendVsStateVector$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./api -run '^$$' -fuzz '^FuzzShotEvent$$' -fuzztime $(FUZZTIME)
 
 # Statement-coverage floors: cover-PKG tests ./internal/PKG and fails
 # below PKG's floor — the fault-injection subsystem, the job service, the

@@ -29,14 +29,16 @@
 //     on the job measured from admission. Servers predating this schema
 //     reject the field with a clear 400.
 //
-// Version 2 and earlier lived in internal/server; the old names remain
-// importable there (and from client) as deprecated aliases of these types.
+// Version 2 and earlier lived in internal/server.
 package api
 
 import (
 	"fmt"
+	"math"
 
 	"artery"
+	"artery/internal/core"
+	"artery/internal/trace"
 )
 
 // Request is the POST /v1/jobs body: which workload to run, under which
@@ -80,8 +82,9 @@ type Request struct {
 	Options *RequestOptions `json:"options,omitempty"`
 }
 
-// RequestOptions mirrors the artery.Options knobs a wire request may set.
-// Zero values select the paper's evaluation configuration.
+// RequestOptions carries the library settings a wire request may set
+// (see LibraryOptions). Zero values select the paper's evaluation
+// configuration.
 type RequestOptions struct {
 	WindowNs     float64 `json:"window_ns,omitempty"`
 	HistoryDepth int     `json:"history_depth,omitempty"`
@@ -249,11 +252,43 @@ func EventFrom(u artery.ShotUpdate, withStages bool) ShotEvent {
 	}
 	if withStages {
 		ev.Stages = make([]StageDelta, len(u.Stages))
-		for i, p := range u.Stages {
-			ev.Stages[i] = StageDelta{Stage: p.Stage, Ns: p.Ns}
+		for i, d := range u.Stages {
+			ev.Stages[i] = StageDelta{Stage: d.Stage.String(), Ns: d.Ns}
 		}
 	}
 	return ev
+}
+
+// ShotFrom is EventFrom's inverse over events that carry their stage
+// deltas (the stream_stages and journaled form): null fidelity maps back
+// to NaN and stage names back to stages, order kept. An event without
+// stage deltas cannot rebuild the shot's stage table, so it is an error,
+// as is an unknown stage name.
+func ShotFrom(ev ShotEvent) (artery.ShotUpdate, error) {
+	if len(ev.Stages) == 0 {
+		return artery.ShotUpdate{}, fmt.Errorf("api: event for shot %d carries no stage deltas (source predates the stream_stages schema?)", ev.Shot)
+	}
+	u := artery.ShotUpdate{
+		Shot:      ev.Shot,
+		LatencyNs: ev.LatencyNs,
+		Fidelity:  math.NaN(),
+		Sites:     ev.Sites,
+		Commits:   ev.Commits,
+		Correct:   ev.Correct,
+		Fallbacks: ev.Fallbacks,
+		Stages:    make([]core.StageDelta, len(ev.Stages)),
+	}
+	if ev.Fidelity != nil {
+		u.Fidelity = *ev.Fidelity
+	}
+	for i, d := range ev.Stages {
+		st, ok := trace.StageFromName(d.Stage)
+		if !ok {
+			return artery.ShotUpdate{}, fmt.Errorf("api: event for shot %d names unknown stage %q", ev.Shot, d.Stage)
+		}
+		u.Stages[i] = core.StageDelta{Stage: st, Ns: d.Ns}
+	}
+	return u, nil
 }
 
 // FloatPtr maps NaN to nil (JSON null) and everything else to &v.
@@ -265,19 +300,17 @@ func FloatPtr(v float64) *float64 {
 }
 
 // ValidateRequest checks a request at admission time — workload,
-// controller, shot-range bounds and option ranges all fail fast (a 400)
-// instead of a failed job. maxShots bounds the job's global shot extent
-// (ShotOffset+Shots). It returns the workload built during validation so
-// the admission path constructs it exactly once.
+// controller, shot-range bounds, option ranges and whether the job's
+// backend can run the workload all fail fast (a 400) instead of a failed
+// job. maxShots bounds the job's global shot extent (ShotOffset+Shots). It
+// returns the workload built during validation so the admission path
+// constructs it exactly once.
 func ValidateRequest(req Request, maxShots int) (*artery.Workload, error) {
 	wl, err := artery.WorkloadByName(req.Workload, req.Param)
 	if err != nil {
 		return nil, err
 	}
-	ctrl := req.Controller
-	if ctrl == "" {
-		ctrl = "ARTERY"
-	}
+	ctrl := controllerName(req)
 	known := false
 	for _, name := range artery.ControllerNames() {
 		if name == ctrl {
@@ -303,21 +336,47 @@ func ValidateRequest(req Request, maxShots int) (*artery.Workload, error) {
 	if req.DeadlineMs < 0 {
 		return nil, fmt.Errorf("deadline_ms must be non-negative, got %d", req.DeadlineMs)
 	}
-	lib := artery.Options{Seed: req.Seed}
-	if o := req.Options; o != nil {
-		mode, ok := ModeByName[o.Mode]
-		if !ok {
-			return nil, fmt.Errorf("unknown predictor mode %q (combined|history|trajectory)", o.Mode)
-		}
-		lib.WindowNs = o.WindowNs
-		lib.HistoryDepth = o.HistoryDepth
-		lib.Theta = o.Theta
-		lib.Mode = mode
-		lib.QuasiStaticSigma = o.QuasiStaticSigma
-		lib.Backend = o.Backend
+	opts, _, err := LibraryOptions(req)
+	if err != nil {
+		return nil, err
 	}
-	if err := artery.ValidateOptions(lib); err != nil {
+	if err := artery.Validate(wl, opts...); err != nil {
 		return nil, err
 	}
 	return wl, nil
+}
+
+// LibraryOptions maps a request onto the library's functional options
+// (everything but the worker count, which is the server's to choose) and
+// its canonical controller name.
+func LibraryOptions(req Request) ([]artery.Option, string, error) {
+	opts := []artery.Option{artery.WithSeed(req.Seed)}
+	if o := req.Options; o != nil {
+		mode, ok := ModeByName[o.Mode]
+		if !ok {
+			return nil, "", fmt.Errorf("unknown predictor mode %q (combined|history|trajectory)", o.Mode)
+		}
+		opts = append(opts,
+			artery.WithWindowNs(o.WindowNs),
+			artery.WithHistoryDepth(o.HistoryDepth),
+			artery.WithTheta(o.Theta),
+			artery.WithMode(mode),
+			artery.WithQuasiStaticSigma(o.QuasiStaticSigma),
+			artery.WithBackend(o.Backend))
+		if o.StateSim != nil && !*o.StateSim {
+			opts = append(opts, artery.WithoutStateSim())
+		}
+		if o.DynamicalDecoupling {
+			opts = append(opts, artery.WithDynamicalDecoupling())
+		}
+	}
+	return opts, controllerName(req), nil
+}
+
+// controllerName is the request's controller, defaulting to ARTERY.
+func controllerName(req Request) string {
+	if req.Controller == "" {
+		return "ARTERY"
+	}
+	return req.Controller
 }

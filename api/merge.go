@@ -1,133 +1,55 @@
 package api
 
 import (
-	"fmt"
-
 	"artery"
-	"artery/internal/trace"
+	"artery/internal/core"
 )
 
-// Merger folds per-shot events into a Result using the exact arithmetic
-// of the engine's merge path (internal/core.run) and the facade's report
-// assembly: sum-then-divide means, integer accuracy and commit-rate
-// ratios, per-stage count/total accumulators rendered in stage-enum
-// order omitting absent stages. Events must be added in global shot
-// order; Go's float64 addition is deterministic, so the fold equals the
-// single-node fold bit-for-bit.
-//
-// Two subsystems rely on that bit-identity: the scatter-gather
-// coordinator (internal/cluster), which re-folds sharded event streams
-// into a result byte-identical to a single node's, and the durable job
-// store's resume path (internal/server + internal/store), which stitches
-// a crashed job's journaled event prefix onto its RunRange continuation
-// and must reproduce the bytes of an uninterrupted run.
+// Merger folds a job's per-shot events into its Result through
+// core.Fold, the engine's own merge, so the result bytes equal a single
+// node's by construction. Two subsystems fold through it, in global shot
+// order: the scatter-gather coordinator (internal/cluster), which folds
+// sharded event streams, and the job server (internal/server), which
+// folds a crashed job's journaled event prefix and then every live shot
+// of its continuation (for a fresh job the prefix is empty).
 type Merger struct {
 	workload, controller string
-	n                    int
-	latSum               float64
-	fidSum               float64
-	fidN                 int
-	sites, commits       int
-	correct              int
-	stageCount           [trace.NumStages]int
-	stageTotal           [trace.NumStages]float64
+	fold                 core.Fold
 }
 
-// NewMerger starts a fold for one request. The workload and controller
-// names begin as the request's canonical spellings — the fallback for
-// results that finish before any executed slice reports its own names
-// (empty canceled prefixes) — and SetNames overrides them with an
-// executed slice's result document.
-func NewMerger(req Request) *Merger {
-	ctrl := req.Controller
-	if ctrl == "" {
-		ctrl = "ARTERY"
-	}
-	return &Merger{workload: WorkloadName(req), controller: ctrl}
+// NewMerger starts a fold for one request, named after wl — the workload
+// built from the request at admission — and the request's controller.
+func NewMerger(req Request, wl *artery.Workload) *Merger {
+	return &Merger{workload: wl.Name, controller: controllerName(req)}
 }
 
-// SetNames adopts the canonical workload/controller strings from an
-// executed slice's result document.
-func (m *Merger) SetNames(res *Result) {
-	m.workload, m.controller = res.Workload, res.Controller
-}
-
-// Merged returns how many events have been folded so far.
-func (m *Merger) Merged() int { return m.n }
-
-// Add folds one event, replaying the engine merge path's per-shot
-// mutations in order. The event must carry its per-stage latency deltas
-// (StreamStages wire form / journaled form); one without them cannot
-// rebuild the stage table and is a hard error.
+// Add folds one wire event; ShotFrom says which events it rejects.
 func (m *Merger) Add(ev ShotEvent) error {
-	m.n++
-	m.latSum += ev.LatencyNs
-	if ev.Fidelity != nil {
-		m.fidSum += *ev.Fidelity
-		m.fidN++
+	u, err := ShotFrom(ev)
+	if err != nil {
+		return err
 	}
-	m.sites += ev.Sites
-	m.commits += ev.Commits
-	m.correct += ev.Correct
-	if len(ev.Stages) == 0 {
-		return fmt.Errorf("api: event for shot %d carries no stage deltas (source predates the stream_stages schema?)", ev.Shot)
-	}
-	for _, d := range ev.Stages {
-		st, ok := trace.StageFromName(d.Stage)
-		if !ok {
-			return fmt.Errorf("api: event for shot %d names unknown stage %q", ev.Shot, d.Stage)
-		}
-		m.stageCount[st]++
-		m.stageTotal[st] += d.Ns
-	}
+	m.fold.Add(u)
 	return nil
 }
 
-// Result renders the fold, mirroring core.run's finalization and
-// ResultFrom's wire conversion.
-func (m *Merger) Result(canceled bool) *Result {
-	res := &Result{
-		Workload:   m.workload,
-		Controller: m.controller,
-		Shots:      m.n,
-		Accuracy:   1, // like the engine: no commits means no mispredicts
-		Canceled:   canceled,
-	}
-	if m.n > 0 {
-		res.MeanLatencyUs = (m.latSum / float64(m.n)) / 1000
-	}
-	if m.commits > 0 {
-		res.Accuracy = float64(m.correct) / float64(m.commits)
-	}
-	if m.sites > 0 {
-		res.CommitRate = float64(m.commits) / float64(m.sites)
-	}
-	if m.fidN > 0 {
-		mean := m.fidSum / float64(m.fidN)
-		res.Fidelity = &mean
-	}
-	for st := trace.Stage(0); st < trace.NumStages; st++ {
-		if m.stageCount[st] == 0 {
-			continue
-		}
-		res.Stages = append(res.Stages, Stage{
-			Stage:   st.String(),
-			Count:   m.stageCount[st],
-			TotalNs: m.stageTotal[st],
-			MeanNs:  m.stageTotal[st] / float64(m.stageCount[st]),
-		})
-	}
-	return res
-}
+// AddShot folds one live shot.
+func (m *Merger) AddShot(u artery.ShotUpdate) { m.fold.Add(u) }
 
-// WorkloadName resolves the canonical workload name for a validated
-// request (result documents carry the workload's Name, not the request
-// spelling).
-func WorkloadName(req Request) string {
-	if wl, err := artery.WorkloadByName(req.Workload, req.Param); err == nil {
-		return wl.Name
-	}
-	return req.Workload
+// Result renders the fold as the job's result document.
+func (m *Merger) Result(canceled bool) *Result {
+	r := m.fold.Result(m.workload, m.controller, canceled)
+	return ResultFrom(artery.Report{
+		Workload:      r.Workload,
+		Controller:    r.Controller,
+		Shots:         r.Shots,
+		MeanLatencyUs: r.MeanLatencyNs / 1000,
+		Accuracy:      r.Accuracy,
+		CommitRate:    r.CommitRate,
+		Fidelity:      r.MeanFidelity,
+		Stages:        r.Stages,
+		Canceled:      r.Canceled,
+	})
 }
 
 // TrimStages renders an event as a public stream emits it: the stage

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"artery"
+	"artery/internal/core"
+	"artery/internal/trace"
 )
 
 // TestRequestRoundTrip locks the wire tags, including the schema-v3
@@ -67,7 +69,7 @@ func TestOldServersRejectRangeFields(t *testing.T) {
 func TestEventFromStages(t *testing.T) {
 	u := artery.ShotUpdate{
 		Shot: 4, LatencyNs: 1800, Fidelity: math.NaN(), Sites: 2, Commits: 1, Correct: 1,
-		Stages: []artery.StagePoint{{Stage: "payload", Ns: 100}, {Stage: "decision", Ns: 700}},
+		Stages: []core.StageDelta{{Stage: trace.StagePayload, Ns: 100}, {Stage: trace.StageDecision, Ns: 700}},
 	}
 	ev := EventFrom(u, true)
 	if ev.Fidelity != nil {
@@ -104,6 +106,12 @@ func TestValidateRequestBounds(t *testing.T) {
 		{"range over cap", func(r *Request) { r.ShotOffset = 95 }},
 		{"offset overflows the sum", func(r *Request) { r.ShotOffset = math.MaxInt }},
 		{"offset wraps the sum to the cap", func(r *Request) { r.ShotOffset = math.MaxInt - 5 }},
+		// Explicit backends a run rejects before its first shot.
+		{"dqt on the stabilizer backend", backend("dqt", 2, "stabilizer", 0)},
+		{"rusqnn on the stabilizer backend", backend("rusqnn", 2, "stabilizer", 0)},
+		{"msi on the stabilizer backend", backend("msi", 2, "stabilizer", 0)},
+		{"quasi-static detuning on the stabilizer backend", backend("surface", 3, "stabilizer", 1e-4)},
+		{"surface 15 on the state backend", backend("surface", 15, "state", 0)},
 	}
 	for _, tc := range cases {
 		req := base
@@ -117,5 +125,21 @@ func TestValidateRequestBounds(t *testing.T) {
 	req.ShotOffset = 90
 	if _, err := ValidateRequest(req, 100); err != nil {
 		t.Errorf("in-cap range rejected: %v", err)
+	}
+	// Without state simulation no backend runs, so any valid name passes.
+	req = base
+	backend("dqt", 2, "stabilizer", 0)(&req)
+	req.Options.StateSim = new(bool)
+	if _, err := ValidateRequest(req, 100); err != nil {
+		t.Errorf("dqt with the stabilizer backend and state_sim false rejected: %v", err)
+	}
+}
+
+// backend returns a request mutation that selects workload name(param)
+// on the named backend, with quasi-static detuning sigma.
+func backend(name string, param int, backend string, sigma float64) func(r *Request) {
+	return func(r *Request) {
+		r.Workload, r.Param = name, param
+		r.Options = &RequestOptions{Backend: backend, QuasiStaticSigma: sigma}
 	}
 }

@@ -48,15 +48,6 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestFromOptionsValidatesToo(t *testing.T) {
-	if _, err := FromOptions(Options{Seed: 1, Theta: 0.2}); err == nil {
-		t.Fatal("FromOptions accepted Theta 0.2")
-	}
-	if _, err := FromOptions(Options{Seed: 1, HistoryDepth: 50}); err == nil {
-		t.Fatal("FromOptions accepted HistoryDepth 50")
-	}
-}
-
 func TestMustNewPanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -64,22 +55,6 @@ func TestMustNewPanicsOnInvalidConfig(t *testing.T) {
 		}
 	}()
 	MustNew(WithTheta(2))
-}
-
-// TestFromOptionsMatchesFunctionalOptions pins the migration contract:
-// the legacy struct form and the option form configure identical systems.
-func TestFromOptionsMatchesFunctionalOptions(t *testing.T) {
-	a, err := FromOptions(Options{Seed: 21, DisableStateSim: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := MustNew(WithSeed(21), WithoutStateSim())
-	wl := QRW(3)
-	ra, rb := a.Run(wl, 30), b.Run(wl, 30)
-	ra.Fidelity, rb.Fidelity = 0, 0 // NaN with state sim off
-	if ra.String() != rb.String() || ra.Shots != rb.Shots {
-		t.Fatalf("FromOptions and option-form reports diverge:\n%v\n%v", ra, rb)
-	}
 }
 
 func TestRunContextCanceled(t *testing.T) {

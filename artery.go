@@ -27,10 +27,7 @@
 //	    report.MeanLatencyUs, 100*report.Accuracy)
 //
 // Construction takes functional options (WithSeed, WithWorkers,
-// WithTracing, ...); the Options struct from earlier releases remains
-// fully supported through FromOptions:
-//
-//	sys, err := artery.FromOptions(artery.Options{Seed: 1})
+// WithTracing, ...).
 package artery
 
 import (
@@ -51,55 +48,6 @@ import (
 	"artery/internal/trace"
 	"artery/internal/workload"
 )
-
-// Options configures a System. The zero value selects the paper's
-// evaluation configuration.
-//
-// Options is the struct-based configuration from earlier releases; pass it
-// through FromOptions. New code usually reads better with New and the
-// functional With* options, which also reach features (tracing, metrics)
-// that have no Options field. Both construction paths build identical
-// systems for the settings they share.
-type Options struct {
-	// Seed drives every stochastic component; runs are reproducible per
-	// seed. Zero selects seed 1.
-	Seed uint64
-	// WindowNs is the demodulation window length (default 30 ns, §6.1).
-	WindowNs float64
-	// HistoryDepth is the number of branch-history registers k (default 6).
-	HistoryDepth int
-	// Theta is the symmetric confidence threshold (default 0.91, Figure 17).
-	Theta float64
-	// Mode selects the predictor features (default: combined).
-	Mode PredictorMode
-	// DisableStateSim skips the per-shot quantum-state fidelity simulation
-	// (latency and accuracy remain available; much faster for sweeps).
-	DisableStateSim bool
-	// DynamicalDecoupling executes feedback idle windows as X-echo
-	// sequences, refocusing quasi-static dephasing (the paper applies DD
-	// to idle qubits in its QEC experiment). Only observable when
-	// QuasiStaticSigma is non-zero.
-	DynamicalDecoupling bool
-	// QuasiStaticSigma adds a per-shot frozen frequency detuning (rad/ns)
-	// to the noise model — the refocusable low-frequency dephasing
-	// component.
-	QuasiStaticSigma float64
-	// Workers bounds shot-level parallelism: 0 uses GOMAXPROCS workers, 1
-	// forces serial execution. Results are bit-identical at every setting
-	// (one RNG stream per shot index, results merged in shot order).
-	Workers int
-	// Backend selects the quantum simulation backend: "auto" (default,
-	// also ""), "state"/"statevector", or "stabilizer"/"tableau". Auto
-	// keeps the state vector for small circuits and promotes wide Clifford
-	// circuits to the stabilizer tableau; an explicit backend that cannot
-	// execute the workload fails the run with a typed error
-	// (ErrNonClifford, ErrIrreversibleBody, ErrNoiseNotCliffordSafe).
-	// An explicit "stabilizer" runs under the Clifford-safe projection of
-	// the device noise model: depolarizing gate error and readout flips
-	// apply unchanged, T1/T2 decay (which a tableau cannot represent) is
-	// lifted to infinity. Ignored when DisableStateSim is set.
-	Backend string
-}
 
 // PredictorMode mirrors the Figure-14 ablation arms.
 type PredictorMode int
@@ -158,7 +106,7 @@ func (r Report) String() string {
 // System is a calibrated ARTERY stack: readout channel, predictor,
 // controller, interconnect and simulator.
 type System struct {
-	opts    Options
+	opts    config
 	channel *readout.Channel
 	topo    *interconnect.Topology
 	rng     *stats.RNG
@@ -169,13 +117,21 @@ type System struct {
 	traceW  io.Writer
 }
 
-// config is the resolved constructor configuration: the legacy Options
-// plus the observability settings only reachable through functional
-// options.
+// config is the resolved constructor configuration. The zero value
+// selects the paper's evaluation configuration.
 type config struct {
-	Options
-	traceW  io.Writer
-	metrics bool
+	Seed                uint64
+	WindowNs            float64
+	HistoryDepth        int
+	Theta               float64
+	Mode                PredictorMode
+	DisableStateSim     bool
+	DynamicalDecoupling bool
+	QuasiStaticSigma    float64
+	Workers             int
+	Backend             string
+	traceW              io.Writer
+	metrics             bool
 }
 
 // Option configures New. Options compose left to right; later options
@@ -209,16 +165,26 @@ func WithMode(m PredictorMode) Option { return func(c *config) { c.Mode = m } }
 // (latency and accuracy remain available; much faster for sweeps).
 func WithoutStateSim() Option { return func(c *config) { c.DisableStateSim = true } }
 
-// WithBackend selects the quantum simulation backend by name; see
-// Options.Backend for the accepted names and failure semantics.
+// WithBackend selects the quantum simulation backend: "auto" (default,
+// also ""), "state"/"statevector", or "stabilizer"/"tableau". Auto keeps
+// the state vector for small circuits and promotes wide Clifford circuits
+// to the stabilizer tableau; an explicit backend that cannot execute the
+// workload fails the run with a typed error (ErrNonClifford,
+// ErrIrreversibleBody, ErrNoiseNotCliffordSafe). An explicit "stabilizer"
+// runs under the Clifford-safe projection of the device noise model:
+// depolarizing gate error and readout flips apply unchanged, T1/T2 decay
+// (which a tableau cannot represent) is lifted to infinity. Ignored
+// without state simulation.
 func WithBackend(name string) Option { return func(c *config) { c.Backend = name } }
 
 // WithDynamicalDecoupling executes feedback idle windows as X-echo
-// sequences; see Options.DynamicalDecoupling.
+// sequences, refocusing quasi-static dephasing (the paper applies DD to
+// idle qubits in its QEC experiment). Only observable with a non-zero
+// WithQuasiStaticSigma.
 func WithDynamicalDecoupling() Option { return func(c *config) { c.DynamicalDecoupling = true } }
 
 // WithQuasiStaticSigma adds a per-shot frozen frequency detuning (rad/ns)
-// to the noise model; see Options.QuasiStaticSigma.
+// to the noise model — the refocusable low-frequency dephasing component.
 func WithQuasiStaticSigma(sigma float64) Option {
 	return func(c *config) { c.QuasiStaticSigma = sigma }
 }
@@ -245,23 +211,7 @@ func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 // an error for out-of-range or non-finite settings (Theta outside
 // (0.5, 1), negative WindowNs, HistoryDepth outside [1, 20], ...).
 func New(opts ...Option) (*System, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return newSystem(cfg, nil)
-}
-
-// FromOptions is New for the struct-based Options configuration of
-// earlier releases. Existing callers of the old New(Options) constructor
-// migrate by renaming the call and handling the error (or using MustNew
-// with functional options):
-//
-//	sys := artery.New(artery.Options{Seed: 7})          // old
-//	sys, err := artery.FromOptions(artery.Options{Seed: 7}) // new
-//	sys := artery.MustNew(artery.WithSeed(7))           // new, panicking
-func FromOptions(opts Options) (*System, error) {
-	return newSystem(config{Options: opts}, nil)
+	return newSystem(opts, nil)
 }
 
 // MustNew is New but panics on an invalid configuration — convenient in
@@ -274,9 +224,32 @@ func MustNew(opts ...Option) *System {
 	return s
 }
 
-// applyDefaults resolves the zero values of a configuration to the
-// paper's evaluation settings.
-func applyDefaults(cfg *config) {
+// Validate reports, without calibrating, whether a system built from opts
+// could run wl: it rejects what New rejects plus everything a run rejects
+// before its first shot, through the same code — an unknown backend name,
+// quasi-static detuning on the stabilizer backend, and an explicit backend
+// the circuit cannot run on. Servers use it to reject bad requests at
+// admission time instead of failing the job later.
+func Validate(wl *Workload, opts ...Option) error {
+	cfg, err := resolve(opts)
+	if err != nil {
+		return err
+	}
+	if err := core.ValidateWorkload(wl); err != nil {
+		return err
+	}
+	_, err = cfg.engine(wl)
+	return err
+}
+
+// resolve applies opts left to right over the zero configuration,
+// resolves the remaining zero values to the paper's evaluation settings,
+// and validates the result.
+func resolve(opts []Option) (config, error) {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -289,29 +262,20 @@ func applyDefaults(cfg *config) {
 	if cfg.Theta == 0 {
 		cfg.Theta = 0.91
 	}
+	return cfg, validateConfig(cfg)
 }
 
-// ValidateOptions reports whether opts (after defaulting, exactly as
-// FromOptions would resolve it) describes a constructible system, without
-// paying for calibration. Servers use it to reject bad requests at
-// admission time instead of failing the job later.
-func ValidateOptions(opts Options) error {
-	cfg := config{Options: opts}
-	applyDefaults(&cfg)
-	return validateConfig(cfg)
-}
-
-// newSystem applies defaults, validates, and calibrates, through cache
-// when it is non-nil. The calibration stream is rng.Split() of the system
-// RNG, spelled out so that a cache hit takes the same one draw.
-func newSystem(cfg config, cache *CalibrationCache) (*System, error) {
-	applyDefaults(&cfg)
-	if err := validateConfig(cfg); err != nil {
+// newSystem resolves opts and calibrates, through cache when it is
+// non-nil. The calibration stream is rng.Split() of the system RNG,
+// spelled out so that a cache hit takes the same one draw.
+func newSystem(opts []Option, cache *CalibrationCache) (*System, error) {
+	cfg, err := resolve(opts)
+	if err != nil {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	ch := cache.channel(calibKey{seed: rng.Uint64(), windowNs: cfg.WindowNs, k: cfg.HistoryDepth})
-	s := &System{opts: cfg.Options, channel: ch, topo: interconnect.PaperTopology(), rng: rng}
+	s := &System{opts: cfg, channel: ch, topo: interconnect.PaperTopology(), rng: rng}
 	if cfg.traceW != nil {
 		s.rec = trace.NewRecorder(0)
 		s.traceW = cfg.traceW
@@ -453,41 +417,15 @@ func (s *System) RunWithContext(ctx context.Context, name string, wl *Workload, 
 	return s.runStream(ctx, name, wl, 0, shots, nil)
 }
 
-// ShotUpdate is one committed shot of a streaming run: the per-shot
-// feedback latency, fidelity and site/commit tallies, delivered in shot
-// order as the engine's merge path commits the shot.
-type ShotUpdate struct {
-	// Shot is the 0-based shot index.
-	Shot int
-	// LatencyNs is the shot's summed feedback latency (plus gate payload).
-	LatencyNs float64
-	// Fidelity is the shot's end-of-circuit fidelity (NaN when state
-	// simulation is disabled).
-	Fidelity float64
-	// Sites is the number of feedback sites the shot executed.
-	Sites int
-	// Commits counts sites whose prediction committed before readout end;
-	// Correct counts the committed predictions that needed no recovery.
-	Commits, Correct int
-	// Fallbacks counts sites served on the degraded blocking path.
-	Fallbacks int
-	// Stages is the shot's ordered per-stage latency deltas: the fixed gate
-	// payload first, then every feedback outcome's additive stage partition
-	// in pipeline order. Replaying the deltas of a run's shots in shot
-	// order — count[stage]++ and total[stage] += ns per entry — reproduces
-	// the run's Report.Stages table bit-for-bit, which is what lets a
-	// scatter-gather coordinator recombine sharded shot streams into a
-	// result byte-identical to a single-node run.
-	Stages []StagePoint
-}
-
-// StagePoint is one ordered per-stage latency delta of a streamed shot.
-type StagePoint struct {
-	// Stage is the trace.Stage name (see Report.Stages rows).
-	Stage string
-	// Ns is the latency contribution in nanoseconds.
-	Ns float64
-}
+// ShotUpdate is one committed shot of a streaming run, delivered in shot
+// order as the engine's merge path commits it: the shot's global index,
+// summed feedback latency (plus gate payload), fidelity (NaN without state
+// simulation), site/commit/correct/fallback tallies, and its ordered
+// per-stage latency deltas, gate payload first. Folding a run's updates
+// in shot order reproduces its Report bit-for-bit, which is what lets a
+// scatter-gather coordinator recombine sharded shot streams into a result
+// byte-identical to a single-node run.
+type ShotUpdate = core.ShotSummary
 
 // RunStream is RunWithContext with a per-shot observer: fn is invoked for
 // every merged shot, strictly in shot order, before the final Report is
@@ -535,56 +473,16 @@ func (s *System) runStream(ctx context.Context, name string, wl *Workload, offse
 	if err != nil {
 		return Report{}, err
 	}
-	backend, err := quantum.ParseBackendKind(s.opts.Backend)
+	eng, err := s.opts.engine(wl)
 	if err != nil {
-		return Report{}, fmt.Errorf("artery: %w", err)
-	}
-	noise := quantum.DeviceNoise()
-	noise.QuasiStaticSigma = s.opts.QuasiStaticSigma
-	if backend == quantum.BackendStabilizer {
-		// A tableau cannot represent amplitude damping: an explicit
-		// stabilizer request opts into the Clifford-safe projection of the
-		// device noise (depolarizing gate error and readout flips stay;
-		// T1/T2 decay is lifted). Quasi-static detuning has no Clifford
-		// projection, so that combination stays a typed error.
-		if s.opts.QuasiStaticSigma != 0 {
-			return Report{}, fmt.Errorf("artery: %w", core.ErrNoiseNotCliffordSafe)
-		}
-		noise.T1, noise.T2 = math.Inf(1), math.Inf(1)
-	}
-	eng := core.NewEngine(ctrl, s.channel, noise)
-	eng.SimulateState = !s.opts.DisableStateSim
-	eng.EnableDD = s.opts.DynamicalDecoupling
-	eng.Workers = s.opts.Workers
-	eng.Backend = backend
-	// An explicit backend the workload cannot run on is a request error,
-	// not a panic: resolve it here, before any shot executes.
-	if err := eng.CheckBackend(wl); err != nil {
 		return Report{}, err
 	}
+	eng.Ctrl, eng.Channel = ctrl, s.channel
 	eng.Trace = s.rec
 	eng.Metrics = s.metrics
 	if fn != nil {
 		eng.OnShot = func(shot int, sr core.ShotResult) {
-			u := ShotUpdate{
-				Shot:      shot,
-				LatencyNs: sr.FeedbackLatencyNs,
-				Fidelity:  sr.Fidelity,
-				Sites:     len(sr.Outcomes),
-				Stages:    stagePoints(wl.GatePayloadNs, sr.Outcomes),
-			}
-			for _, o := range sr.Outcomes {
-				if o.Committed {
-					u.Commits++
-					if o.Correct {
-						u.Correct++
-					}
-				}
-				if o.FellBack {
-					u.Fallbacks++
-				}
-			}
-			fn(u)
+			fn(core.Summarize(shot, wl.GatePayloadNs, sr))
 		}
 	}
 	res := eng.RunRange(ctx, wl, offset, shots, s.rng.Split())
@@ -604,18 +502,43 @@ func (s *System) runStream(ctx context.Context, name string, wl *Workload, offse
 	}, nil
 }
 
-// stagePoints flattens one shot's stage-latency deltas in the exact order
-// the engine's merge path folds them into RunResult.Stages: the fixed gate
-// payload first, then each outcome's additive partition in pipeline order.
-func stagePoints(payloadNs float64, outcomes []controller.Outcome) []StagePoint {
-	pts := make([]StagePoint, 1, 1+4*len(outcomes))
-	pts[0] = StagePoint{Stage: trace.StagePayload.String(), Ns: payloadNs}
-	for _, o := range outcomes {
-		o.Breakdown.Stages(func(st trace.Stage, d float64) {
-			pts = append(pts, StagePoint{Stage: st.String(), Ns: d})
-		})
+// engine builds the engine a run of wl uses, short of its controller and
+// channel, after the checks every run makes before its first shot: the
+// backend name, the stabilizer's Clifford-safe noise projection, and
+// whether an explicit backend can run the circuit. Validate runs the same
+// code, so admission rejects exactly what a run would.
+func (c config) engine(wl *Workload) (*core.Engine, error) {
+	backend, err := quantum.ParseBackendKind(c.Backend)
+	if err != nil {
+		return nil, fmt.Errorf("artery: %w", err)
 	}
-	return pts
+	noise := quantum.DeviceNoise()
+	noise.QuasiStaticSigma = c.QuasiStaticSigma
+	if backend == quantum.BackendStabilizer {
+		// A tableau cannot represent amplitude damping: an explicit
+		// stabilizer request opts into the Clifford-safe projection of the
+		// device noise (depolarizing gate error and readout flips stay;
+		// T1/T2 decay is lifted). Quasi-static detuning has no Clifford
+		// projection, so that combination stays a typed error.
+		if c.QuasiStaticSigma != 0 {
+			return nil, fmt.Errorf("artery: %w", core.ErrNoiseNotCliffordSafe)
+		}
+		noise.T1, noise.T2 = math.Inf(1), math.Inf(1)
+	}
+	eng := core.NewEngine(nil, nil, noise)
+	eng.SimulateState = !c.DisableStateSim
+	eng.EnableDD = c.DynamicalDecoupling
+	eng.Workers = c.Workers
+	eng.Backend = backend
+	// An explicit backend the workload cannot run on is a request error,
+	// not a panic: resolve it here, before any shot executes. Auto always
+	// resolves, so only an explicit backend pays for the circuit plan now.
+	if backend != quantum.BackendAuto {
+		if err := eng.CheckBackend(wl); err != nil {
+			return nil, err
+		}
+	}
+	return eng, nil
 }
 
 // flushTrace streams the recorder's committed events to the tracing

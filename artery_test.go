@@ -178,14 +178,12 @@ func TestTuneThresholdFacade(t *testing.T) {
 
 func TestDynamicalDecouplingOption(t *testing.T) {
 	// With quasi-static dephasing, the DD option must improve fidelity.
-	base := Options{Seed: 31, QuasiStaticSigma: 2e-4}
-	plain, err := FromOptions(base)
+	base := []Option{WithSeed(31), WithQuasiStaticSigma(2e-4)}
+	plain, err := New(base...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ddOpts := base
-	ddOpts.DynamicalDecoupling = true
-	dd, err := FromOptions(ddOpts)
+	dd, err := New(append(base, WithDynamicalDecoupling())...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,11 @@ func BenchmarkEngineRun(b *testing.B) {
 		for _, workers := range []int{1, 8} {
 			name := c.name + "/workers=" + strconv.Itoa(workers)
 			b.Run(name, func(b *testing.B) {
-				sys, err := FromOptions(Options{Seed: 1, DisableStateSim: !c.stateSim, Workers: workers})
+				opts := []Option{WithSeed(1), WithWorkers(workers)}
+				if !c.stateSim {
+					opts = append(opts, WithoutStateSim())
+				}
+				sys, err := New(opts...)
 				if err != nil {
 					b.Fatal(err)
 				}

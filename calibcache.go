@@ -76,11 +76,7 @@ type CalibrationCache struct {
 // calibrated channel of an earlier system with the same seed, WindowNs and
 // HistoryDepth when the cache still holds it.
 func (c *CalibrationCache) New(opts ...Option) (*System, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return newSystem(cfg, c)
+	return newSystem(opts, c)
 }
 
 // Stats reports how many lookups found a channel (hits, including callers

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"artery/api"
 	"artery/internal/server"
 )
 
@@ -24,11 +25,11 @@ func TestSubmitRetriesOn429HonoringRetryAfter(t *testing.T) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "2")
 			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(server.ErrorBody{Error: "queue full", RetryAfterSec: 2})
+			json.NewEncoder(w).Encode(api.ErrorBody{Error: "queue full", RetryAfterSec: 2})
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(server.JobStatus{ID: "job-1", State: server.StateQueued})
+		json.NewEncoder(w).Encode(api.JobStatus{ID: "job-1", State: api.StateQueued})
 	}))
 	defer ts.Close()
 
@@ -72,7 +73,7 @@ func TestSubmitRetriesOn5xxWithBackoff(t *testing.T) {
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(server.JobStatus{ID: "job-2"})
+		json.NewEncoder(w).Encode(api.JobStatus{ID: "job-2"})
 	}))
 	defer ts.Close()
 
@@ -98,7 +99,7 @@ func TestSubmitFailsFastOn400(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(server.ErrorBody{Error: "unknown workload"})
+		json.NewEncoder(w).Encode(api.ErrorBody{Error: "unknown workload"})
 	}))
 	defer ts.Close()
 
@@ -124,7 +125,7 @@ func TestSubmitExhaustsRetries(t *testing.T) {
 		calls.Add(1)
 		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusTooManyRequests)
-		json.NewEncoder(w).Encode(server.ErrorBody{Error: "queue full"})
+		json.NewEncoder(w).Encode(api.ErrorBody{Error: "queue full"})
 	}))
 	defer ts.Close()
 
@@ -183,7 +184,7 @@ func TestEndToEnd(t *testing.T) {
 		events = append(events, ev)
 	}
 	end := st.End()
-	if end == nil || end.State != server.StateDone || end.Result == nil {
+	if end == nil || end.State != api.StateDone || end.Result == nil {
 		t.Fatalf("stream end %+v", end)
 	}
 	if len(events) != shots || end.Result.Shots != shots {
@@ -199,7 +200,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if final.State != server.StateDone || final.ShotsStreamed != shots {
+	if final.State != api.StateDone || final.ShotsStreamed != shots {
 		t.Fatalf("final status %+v", final)
 	}
 

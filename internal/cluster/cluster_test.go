@@ -322,3 +322,36 @@ func TestCoordinatorFailsJobWhenShardsExhausted(t *testing.T) {
 		t.Errorf("failure message %q does not name the shard", final.Error)
 	}
 }
+
+// TestCoordinatorRejectsUnrunnableBackend: a request whose explicit
+// backend cannot run its workload (DQT's ry gates on the stabilizer
+// tableau) is a 400 at the coordinator's admission, so it is never
+// dispatched and no backend's breaker counts it as a failure.
+func TestCoordinatorRejectsUnrunnableBackend(t *testing.T) {
+	a, b := startNode(t, 1, nil), startNode(t, 1, nil)
+	co, coordURL := startCoordinator(t, Config{Backends: []string{a.ts.URL, b.ts.URL}})
+	for i := 0; i < 2; i++ {
+		body := strings.NewReader(`{"workload":"dqt","param":2,"shots":8,"options":{"backend":"stabilizer"}}`)
+		resp, err := http.Post(coordURL+"/v1/jobs", "application/json", body)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submit %d = %d %s, want 400", i, resp.StatusCode, msg)
+		}
+	}
+	for i, be := range co.backends {
+		if got := be.brk.current(); got != breakerClosed {
+			t.Errorf("backend %d breaker state = %d, want closed (%d)", i, got, breakerClosed)
+		}
+	}
+	var prom strings.Builder
+	co.Registry().WriteProm(&prom)
+	for _, want := range []string{"artery_cluster_breakers_open 0", "artery_cluster_shards_dispatched_total 0"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("metrics lack %q:\n%s", want, grepProm(prom.String(), "artery_cluster"))
+		}
+	}
+}

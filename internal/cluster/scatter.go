@@ -67,9 +67,9 @@ type shard struct {
 	rng    shardRange
 	mu     sync.Mutex
 	events []api.ShotEvent
-	base   int         // ordinal of events[0]; grows only by merger trims
-	result *api.Result // the shard's own end-of-stream result (names, sanity)
-	err    error       // terminal failure after the attempt budget
+	base   int   // ordinal of events[0]; grows only by merger trims
+	done   bool  // the shard's attempts are over
+	err    error // terminal failure after the attempt budget
 	notify chan struct{}
 }
 
@@ -111,11 +111,11 @@ func (s *shard) offer(ordinal int, ev api.ShotEvent) error {
 	}
 }
 
-// finish records the shard's terminal outcome: its result, or the error
-// that exhausted the attempt budget.
-func (s *shard) finish(res *api.Result, err error) {
+// finish records the shard's terminal outcome: success (nil), or the
+// error that exhausted the attempt budget.
+func (s *shard) finish(err error) {
 	s.mu.Lock()
-	s.result, s.err = res, err
+	s.done, s.err = true, err
 	s.broadcast()
 	s.mu.Unlock()
 }
@@ -138,7 +138,7 @@ func (s *shard) finish(res *api.Result, err error) {
 // uninterrupted single-node run.
 func (c *Coordinator) execute(ctx context.Context, j *server.Job) {
 	req := j.Req
-	agg := api.NewMerger(req)
+	agg := api.NewMerger(req, j.Workload())
 	prefix := j.Prefix()
 	for _, ev := range prefix {
 		if err := agg.Add(ev); err != nil {
@@ -182,7 +182,7 @@ func (c *Coordinator) runShard(ctx context.Context, req api.Request, sh *shard) 
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
-				sh.finish(nil, ctx.Err())
+				sh.finish(ctx.Err())
 				return
 			}
 		}
@@ -191,23 +191,23 @@ func (c *Coordinator) runShard(ctx context.Context, req api.Request, sh *shard) 
 			c.m.shardsFailedOver.Inc()
 		}
 		prev = b
-		res, err := c.runAttempt(ctx, req, sh, b)
+		err := c.runAttempt(ctx, req, sh, b)
 		if err == nil {
-			sh.finish(res, nil)
+			sh.finish(nil)
 			return
 		}
 		if errors.Is(err, errDeterminism) {
-			sh.finish(nil, err)
+			sh.finish(err)
 			return
 		}
 		if ctx.Err() != nil {
-			sh.finish(nil, ctx.Err())
+			sh.finish(ctx.Err())
 			return
 		}
 		lastErr = err
 	}
 	c.m.shardsFailed.Inc()
-	sh.finish(nil, fmt.Errorf("shard [%d,%d) failed after %d attempts: %w", sh.rng.Lo, sh.rng.Hi, c.cfg.ShardAttempts, lastErr))
+	sh.finish(fmt.Errorf("shard [%d,%d) failed after %d attempts: %w", sh.rng.Lo, sh.rng.Hi, c.cfg.ShardAttempts, lastErr))
 }
 
 // runAttempt races a primary dispatch against an optional hedge: if the
@@ -219,11 +219,10 @@ func (c *Coordinator) runShard(ctx context.Context, req api.Request, sh *shard) 
 // through the attempt context; its outcome is never recorded against its
 // backend's breaker (a cancellation is the coordinator's doing, not the
 // backend's failure).
-func (c *Coordinator) runAttempt(ctx context.Context, req api.Request, sh *shard, primary *backend) (*api.Result, error) {
+func (c *Coordinator) runAttempt(ctx context.Context, req api.Request, sh *shard, primary *backend) error {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		res    *api.Result
 		err    error
 		b      *backend
 		hedged bool
@@ -233,8 +232,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, req api.Request, sh *shard
 		c.m.shardsDispatched.Inc()
 		b.attempts.Inc()
 		go func() {
-			res, err := c.tryShard(actx, b, req, sh)
-			ch <- outcome{res: res, err: err, b: b, hedged: hedged}
+			ch <- outcome{err: c.tryShard(actx, b, req, sh), b: b, hedged: hedged}
 		}()
 	}
 	launch(primary, false)
@@ -253,10 +251,10 @@ func (c *Coordinator) runAttempt(ctx context.Context, req api.Request, sh *shard
 				if out.hedged {
 					c.m.hedgeWins.Inc()
 				}
-				return out.res, nil
+				return nil
 			}
 			if errors.Is(out.err, errDeterminism) {
-				return nil, out.err
+				return out.err
 			}
 			if actx.Err() == nil {
 				// A genuine backend failure, not our own cancellation.
@@ -266,7 +264,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, req api.Request, sh *shard
 				firstErr = out.err
 			}
 			if inflight == 0 {
-				return nil, firstErr
+				return firstErr
 			}
 		case <-hedgeTimer:
 			hedgeTimer = nil
@@ -276,7 +274,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, req api.Request, sh *shard
 				inflight++
 			}
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }
@@ -318,7 +316,7 @@ func failoverDelay(attempt int) time.Duration {
 // the terminal result are integrity-checked (api.ValidateEvent /
 // ValidateResult), so a corrupt frame that survived JSON decoding is
 // demoted to a retryable stream failure instead of reaching the merge.
-func (c *Coordinator) tryShard(ctx context.Context, b *backend, req api.Request, sh *shard) (*api.Result, error) {
+func (c *Coordinator) tryShard(ctx context.Context, b *backend, req api.Request, sh *shard) error {
 	start := time.Now()
 	sub := req
 	sub.ShotOffset = sh.rng.Lo
@@ -327,7 +325,7 @@ func (c *Coordinator) tryShard(ctx context.Context, b *backend, req api.Request,
 	if deadline, ok := ctx.Deadline(); ok {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return nil, context.DeadlineExceeded
+			return context.DeadlineExceeded
 		}
 		ms := int(remaining.Milliseconds())
 		if ms < 1 {
@@ -337,11 +335,11 @@ func (c *Coordinator) tryShard(ctx context.Context, b *backend, req api.Request,
 	}
 	js, err := b.cl.Submit(ctx, sub)
 	if err != nil {
-		return nil, fmt.Errorf("backend %d (%s): submit: %w", b.index, b.base, err)
+		return fmt.Errorf("backend %d (%s): submit: %w", b.index, b.base, err)
 	}
 	st, err := b.cl.Stream(ctx, js.ID)
 	if err != nil {
-		return nil, fmt.Errorf("backend %d (%s): stream: %w", b.index, b.base, err)
+		return fmt.Errorf("backend %d (%s): stream: %w", b.index, b.base, err)
 	}
 	defer st.Close()
 	n := 0
@@ -351,16 +349,16 @@ func (c *Coordinator) tryShard(ctx context.Context, b *backend, req api.Request,
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("backend %d (%s): stream: %w", b.index, b.base, err)
+			return fmt.Errorf("backend %d (%s): stream: %w", b.index, b.base, err)
 		}
 		if ev.Shot != sh.rng.Lo+n {
-			return nil, fmt.Errorf("backend %d (%s): event %d carries shot %d, want %d", b.index, b.base, n, ev.Shot, sh.rng.Lo+n)
+			return fmt.Errorf("backend %d (%s): event %d carries shot %d, want %d", b.index, b.base, n, ev.Shot, sh.rng.Lo+n)
 		}
 		if verr := api.ValidateEvent(ev); verr != nil {
-			return nil, fmt.Errorf("backend %d (%s): corrupt event: %w", b.index, b.base, verr)
+			return fmt.Errorf("backend %d (%s): corrupt event: %w", b.index, b.base, verr)
 		}
 		if oerr := sh.offer(n, ev); oerr != nil {
-			return nil, oerr
+			return oerr
 		}
 		n++
 	}
@@ -370,22 +368,22 @@ func (c *Coordinator) tryShard(ctx context.Context, b *backend, req api.Request,
 		if end != nil {
 			state, msg = end.State, end.Error
 		}
-		return nil, fmt.Errorf("backend %d (%s): shard ended %s: %s", b.index, b.base, state, msg)
+		return fmt.Errorf("backend %d (%s): shard ended %s: %s", b.index, b.base, state, msg)
 	}
 	if verr := api.ValidateResult(end.Result); verr != nil {
-		return nil, fmt.Errorf("backend %d (%s): corrupt result: %w", b.index, b.base, verr)
+		return fmt.Errorf("backend %d (%s): corrupt result: %w", b.index, b.base, verr)
 	}
 	if end.Result.Canceled || n != sub.Shots {
 		// A draining backend returns a truncated prefix — valid for its
 		// own clients, but a missing tail for ours: fail over.
-		return nil, fmt.Errorf("backend %d (%s): shard truncated at %d of %d shots (backend draining?)", b.index, b.base, n, sub.Shots)
+		return fmt.Errorf("backend %d (%s): shard truncated at %d of %d shots (backend draining?)", b.index, b.base, n, sub.Shots)
 	}
 	elapsed := time.Since(start).Seconds()
 	b.shardSeconds.Observe(elapsed)
 	c.m.shardSeconds.Observe(elapsed)
 	b.observe(elapsed)
 	b.shardsServed.Inc()
-	return end.Result, nil
+	return nil
 }
 
 // gather is the merge path: consume shard buffers strictly in shard
@@ -439,10 +437,11 @@ func (c *Coordinator) gather(ctx context.Context, j *server.Job, agg *api.Merger
 			}
 		}
 		// The last event lands in the buffer before finish() records the
-		// shard's result, so wait for the terminal record rather than
-		// racing it — adopting canonical names must not depend on timing.
+		// shard's outcome, so wait for the terminal record: the job must
+		// not settle (and cancel the shard streams) before every shard's
+		// attempt has been recorded against its backend.
 		sh.mu.Lock()
-		for sh.result == nil && sh.err == nil {
+		for !sh.done {
 			wait := sh.notify
 			sh.mu.Unlock()
 			select {
@@ -452,9 +451,6 @@ func (c *Coordinator) gather(ctx context.Context, j *server.Job, agg *api.Merger
 				return
 			}
 			sh.mu.Lock()
-		}
-		if sh.result != nil {
-			agg.SetNames(sh.result)
 		}
 		sh.mu.Unlock()
 	}

@@ -379,7 +379,6 @@ func (e *Engine) run(ctx context.Context, wl *workload.Workload, offset, shots i
 		panic("core: RunRange does not support fault injection (fault streams are derived after the physics streams, so their per-shot assignment depends on the run's total shot count)")
 	}
 	total := offset + shots
-	res := RunResult{Workload: wl.Name, Controller: e.Ctrl.Name(), Shots: shots}
 	plan := e.planFor(wl.Circuit)
 	sk := e.simKindFor(plan, wl.Circuit)
 	shotRNGs := rng.SplitN(total)
@@ -400,46 +399,39 @@ func (e *Engine) run(ctx context.Context, wl *workload.Workload, offset, shots i
 		return sessions[i]
 	}
 
+	// The fold owns every aggregate the wire carries; the merge path keeps
+	// only what no wire consumer reads (per-shot latencies, fault counters,
+	// the per-site decision mean) and the metrics.
 	ms := e.metricSet()
-	var fid stats.RunningMean
+	var fold Fold
+	var sum ShotSummary // one stage backing, reused: Add reads it only during the call
 	var perSite stats.RunningMean
-	var stages stageAgg
-	committed, correct, sites, merged := 0, 0, 0, 0
-	res.Latencies = make([]float64, 0, shots)
+	var faults fault.Counters
+	latencies := make([]float64, 0, shots)
 	merge := func(sr ShotResult) {
-		idx := offset + merged
-		merged++
-		stages.addPayload(wl.GatePayloadNs)
-		res.Latencies = append(res.Latencies, sr.FeedbackLatencyNs)
-		res.MeanLatencyNs += sr.FeedbackLatencyNs
-		res.Faults.Add(sr.Faults)
-		if !math.IsNaN(sr.Fidelity) {
-			fid.Add(sr.Fidelity)
-		}
+		sum = summarize(sum.Stages, offset+fold.Shots(), wl.GatePayloadNs, sr)
+		fold.Add(sum)
+		latencies = append(latencies, sr.FeedbackLatencyNs)
+		faults.Add(sr.Faults)
 		ms.shots.Inc()
 		ms.shotLat.Observe(sr.FeedbackLatencyNs)
 		for _, o := range sr.Outcomes {
-			sites++
 			perSite.Add(o.LatencyNs)
-			stages.add(o.Breakdown)
 			ms.sites.Inc()
 			ms.siteLat.Observe(o.LatencyNs)
 			if o.FellBack {
 				ms.fallbacks.Inc()
 			}
 			if o.Committed {
-				committed++
 				ms.commits.Inc()
 				ms.decision.Observe(o.Breakdown.DecisionNs)
-				if o.Correct {
-					correct++
-				} else {
+				if !o.Correct {
 					ms.mispredicts.Inc()
 				}
 			}
 		}
 		if e.OnShot != nil {
-			e.OnShot(idx, sr)
+			e.OnShot(sum.Shot, sr)
 		}
 	}
 	// canceled polls the context at shot-batch boundaries on the merge
@@ -509,30 +501,17 @@ func (e *Engine) run(ctx context.Context, wl *workload.Workload, offset, shots i
 			e.Trace.Commit(span)
 		}
 	}
-	if merged < shots {
-		res.Canceled = true
+	canceledRun := fold.Shots() < shots
+	if canceledRun {
 		ms.canceled.Inc()
 	}
-	res.Shots = merged
-	if merged > 0 {
-		res.MeanLatencyNs /= float64(merged)
-	}
+	res := fold.Result(wl.Name, e.Ctrl.Name(), canceledRun)
+	res.Latencies = latencies
+	res.Faults = faults
 	res.MeanDecisionNs = perSite.Mean()
-	if committed > 0 {
-		res.Accuracy = float64(correct) / float64(committed)
-	} else {
-		res.Accuracy = 1 // baselines never predict, hence never mispredict
+	if sites := perSite.N(); sites > 0 {
+		res.FallbackRate = float64(faults.Fallbacks) / float64(sites)
 	}
-	if sites > 0 {
-		res.CommitRate = float64(committed) / float64(sites)
-		res.FallbackRate = float64(res.Faults.Fallbacks) / float64(sites)
-	}
-	if fid.N() > 0 {
-		res.MeanFidelity = fid.Mean()
-	} else {
-		res.MeanFidelity = math.NaN()
-	}
-	res.Stages = stages.table()
 	return res
 }
 
@@ -546,45 +525,6 @@ type shotOut struct {
 type synthOut struct {
 	recs []readout.Record
 	span *trace.ShotSpan
-}
-
-// stageAgg accumulates per-stage latency sums over outcomes in merge
-// order.
-type stageAgg struct {
-	count [trace.NumStages]int
-	total [trace.NumStages]float64
-}
-
-func (a *stageAgg) add(bd controller.LatencyBreakdown) {
-	bd.Stages(func(st trace.Stage, d float64) {
-		a.count[st]++
-		a.total[st] += d
-	})
-}
-
-// addPayload records one shot's fixed gate payload, so the aggregate's
-// stage totals partition the full shot latency (payload + site stages).
-func (a *stageAgg) addPayload(d float64) {
-	a.count[trace.StagePayload]++
-	a.total[trace.StagePayload] += d
-}
-
-// table renders the aggregate as RunResult.Stages, omitting stages that
-// never occurred.
-func (a *stageAgg) table() []StageLatency {
-	var out []StageLatency
-	for st := trace.Stage(0); st < trace.NumStages; st++ {
-		if a.count[st] == 0 {
-			continue
-		}
-		out = append(out, StageLatency{
-			Stage:   st.String(),
-			Count:   a.count[st],
-			TotalNs: a.total[st],
-			MeanNs:  a.total[st] / float64(a.count[st]),
-		})
-	}
-	return out
 }
 
 // RunShot executes one shot of the workload, fault-free (fault injection

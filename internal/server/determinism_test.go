@@ -36,7 +36,7 @@ func runJobToBytes(t *testing.T, cfg Config, req string) (result, events []byte)
 	}
 	js := decodeStatus(t, resp)
 	evs, end := readStream(t, ts.URL, js.ID)
-	if end.State != StateDone || end.Result == nil {
+	if end.State != api.StateDone || end.Result == nil {
 		t.Fatalf("job ended %+v", end)
 	}
 	result, _ = json.Marshal(end.Result)
@@ -85,7 +85,7 @@ func TestResubmitReproducesResult(t *testing.T) {
 		}
 		js := decodeStatus(t, resp)
 		final := waitTerminal(t, ts.URL, js.ID)
-		if final.State != StateDone || final.Result == nil {
+		if final.State != api.StateDone || final.Result == nil {
 			t.Fatalf("job %s ended %+v", js.ID, final)
 		}
 		b, _ := json.Marshal(final.Result)
@@ -102,19 +102,19 @@ func TestResubmitReproducesResult(t *testing.T) {
 
 // TestStateSimResultHasFidelity checks the default (state-sim on) path end
 // to end: fidelity is a number on the wire, not null, and options round
-// out the buildOptions coverage (window, DD, sigma, mode).
+// out the api.LibraryOptions coverage (window, DD, sigma, mode).
 func TestStateSimResultHasFidelity(t *testing.T) {
 	req := fmt.Sprintf(`{"workload":"reset","param":2,"shots":20,"seed":13,` +
 		`"options":{"mode":"history","window_ns":200,"dynamical_decoupling":true,"quasi_static_sigma":6000}}`)
 	res, evs := runJobToBytes(t, Config{MaxConcurrentJobs: 1}, req)
-	var r Result
+	var r api.Result
 	if err := json.Unmarshal(res, &r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Fidelity == nil || *r.Fidelity <= 0 || *r.Fidelity > 1 {
 		t.Errorf("fidelity %v, want a number in (0, 1]", r.Fidelity)
 	}
-	var events []ShotEvent
+	var events []api.ShotEvent
 	if err := json.Unmarshal(evs, &events); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSharedCalibrationSameBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var libEvents []ShotEvent
+	var libEvents []api.ShotEvent
 	rep, err := sys.RunRangeStream(context.Background(), "ARTERY", artery.QRW(3), 0, 40, func(u artery.ShotUpdate) {
 		libEvents = append(libEvents, api.EventFrom(u, false))
 	})
@@ -160,7 +160,7 @@ func TestSharedCalibrationSameBytes(t *testing.T) {
 	}()
 	check := func(id string) {
 		evs, end := readStream(t, ts.URL, id)
-		if end.State != StateDone || end.Result == nil {
+		if end.State != api.StateDone || end.Result == nil {
 			t.Fatalf("job %s ended %+v", id, end)
 		}
 		result, _ := json.Marshal(end.Result)

@@ -14,7 +14,7 @@ import (
 // closing (and replacing) notify.
 type Job struct {
 	ID  string
-	Req Request
+	Req api.Request
 	// wl is the workload built (and validated) at admission time;
 	// building it once keeps submit errors synchronous and the run path
 	// cheap.
@@ -37,19 +37,19 @@ type Job struct {
 	mu       sync.Mutex
 	state    string
 	err      string
-	result   *Result
-	events   []ShotEvent
+	result   *api.Result
+	events   []api.ShotEvent
 	notify   chan struct{}
 	accepted time.Time
 	finished time.Time
 }
 
-func newJob(id string, req Request, wl *artery.Workload, now time.Time) *Job {
+func newJob(id string, req api.Request, wl *artery.Workload, now time.Time) *Job {
 	return &Job{
 		ID:       id,
 		Req:      req,
 		wl:       wl,
-		state:    StateQueued,
+		state:    api.StateQueued,
 		notify:   make(chan struct{}),
 		accepted: now,
 	}
@@ -61,68 +61,65 @@ func (j *Job) broadcast() {
 	j.notify = make(chan struct{})
 }
 
-// terminal reports whether state is one of the three end states.
-func terminal(state string) bool { return api.Terminal(state) }
-
 // setRunning transitions queued → running.
 func (j *Job) setRunning() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = StateRunning
+	j.state = api.StateRunning
 	j.broadcast()
 }
 
 // complete records the final result (including deterministic canceled
 // prefixes, which are still results) and transitions to done.
-func (j *Job) complete(res *Result, now time.Time) {
+func (j *Job) complete(res *api.Result, now time.Time) {
 	j.mu.Lock()
-	j.state = StateDone
+	j.state = api.StateDone
 	j.result = res
 	j.finished = now
 	j.broadcast()
 	j.mu.Unlock()
-	j.journalEnd(StateDone, "", res)
+	j.journalEnd(api.StateDone, "", res)
 }
 
 // fail records a job error (invalid options, engine failure).
 func (j *Job) fail(msg string, now time.Time) {
 	j.mu.Lock()
-	j.state = StateFailed
+	j.state = api.StateFailed
 	j.err = msg
 	j.finished = now
 	j.broadcast()
 	j.mu.Unlock()
-	j.journalEnd(StateFailed, msg, nil)
+	j.journalEnd(api.StateFailed, msg, nil)
 }
 
 // cancel marks a queued job that will never run (server drain).
 func (j *Job) cancel(msg string, now time.Time) {
 	j.mu.Lock()
-	j.state = StateCanceled
+	j.state = api.StateCanceled
 	j.err = msg
 	j.finished = now
 	j.broadcast()
 	j.mu.Unlock()
-	j.journalEnd(StateCanceled, msg, nil)
+	j.journalEnd(api.StateCanceled, msg, nil)
 }
 
 // journalEnd writes the job's terminal record. The store fsyncs it (a
 // result promise survives the next crash); append failures are already
 // counted by the store and a live client still gets its in-memory result.
-func (j *Job) journalEnd(state, errMsg string, res *Result) {
+func (j *Job) journalEnd(state, errMsg string, res *api.Result) {
 	if j.store == nil {
 		return
 	}
 	j.store.Terminal(j.ID, state, errMsg, res)
 }
 
-// AppendEvent, AppendFull, Prefix, Complete and Fail are the
-// external-executor mutators (see Config.Executor): a custom executor
-// commits merged per-shot events and drives the job to its terminal state
-// through them.
+// Workload, AppendFull, Prefix, Complete and Fail are the
+// external-executor accessors and mutators (see Config.Executor): a
+// custom executor commits merged per-shot events and drives the job to
+// its terminal state through them.
 
-// AppendEvent commits one per-shot update to the job's event log.
-func (j *Job) AppendEvent(ev ShotEvent) { j.appendEvent(ev) }
+// Workload returns the workload built from the request at admission.
+func (j *Job) Workload() *artery.Workload { return j.wl }
 
 // AppendFull commits one merged per-shot event that carries its stage
 // deltas: journaled first (when a store is configured, with a checkpoint
@@ -130,7 +127,7 @@ func (j *Job) AppendEvent(ev ShotEvent) { j.appendEvent(ev) }
 // trimmed to the subscriber schema (stage deltas ride the public stream
 // only when the request asked for them). Must be called from the job's
 // single merge-path goroutine, in shot order.
-func (j *Job) AppendFull(ev ShotEvent) {
+func (j *Job) AppendFull(ev api.ShotEvent) {
 	if j.store != nil && !j.journalBroken {
 		if err := j.store.ShotEvent(j.ID, ev); err != nil {
 			// First failure latches: journaling more events would leave a
@@ -144,7 +141,12 @@ func (j *Job) AppendFull(ev ShotEvent) {
 			}
 		}
 	}
-	j.appendEvent(api.TrimStages(ev, j.Req.StreamStages))
+	// The in-memory log is the stream's replay buffer, so late subscribers
+	// see the full history.
+	j.mu.Lock()
+	j.events = append(j.events, api.TrimStages(ev, j.Req.StreamStages))
+	j.broadcast()
+	j.mu.Unlock()
 }
 
 // Prefix returns the job's recovered merged-event prefix: the per-shot
@@ -155,30 +157,20 @@ func (j *Job) AppendFull(ev ShotEvent) {
 func (j *Job) Prefix() []api.ShotEvent { return j.prefix }
 
 // Complete records the job's final result and transitions it to done.
-func (j *Job) Complete(res *Result) { j.complete(res, time.Now()) }
+func (j *Job) Complete(res *api.Result) { j.complete(res, time.Now()) }
 
 // Fail records a job error and transitions it to failed.
 func (j *Job) Fail(msg string) { j.fail(msg, time.Now()) }
 
-// appendEvent commits one per-shot update to the job's event log. Events
-// arrive from the engine's merge path in shot order; the log is the
-// stream's replay buffer, so late subscribers see the full history.
-func (j *Job) appendEvent(ev ShotEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.events = append(j.events, ev)
-	j.broadcast()
-}
-
 // snapshot returns the job's status document.
-func (j *Job) snapshot(now time.Time) JobStatus {
+func (j *Job) snapshot(now time.Time) api.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	end := now
 	if !j.finished.IsZero() {
 		end = j.finished
 	}
-	return JobStatus{
+	return api.JobStatus{
 		ID:            j.ID,
 		State:         j.state,
 		Request:       j.Req,
@@ -193,15 +185,15 @@ func (j *Job) snapshot(now time.Time) JobStatus {
 // and a channel that closes on the next mutation — everything a streaming
 // subscriber needs to copy state out without holding the lock while
 // writing to a (possibly slow) client.
-func (j *Job) follow(from int) (events []ShotEvent, state string, end StreamEnd, wait <-chan struct{}) {
+func (j *Job) follow(from int) (events []api.ShotEvent, state string, end api.StreamEnd, wait <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if from < len(j.events) {
 		events = append(events, j.events[from:]...)
 	}
 	state = j.state
-	if terminal(j.state) {
-		end = StreamEnd{Done: true, State: j.state, Error: j.err, Result: j.result}
+	if api.Terminal(j.state) {
+		end = api.StreamEnd{Done: true, State: j.state, Error: j.err, Result: j.result}
 	}
 	return events, state, end, j.notify
 }

@@ -67,7 +67,7 @@ func rawStream(t *testing.T, base, id string) []byte {
 // uninterrupted run's result JSON, raw stream bytes, and the journaled
 // full-fidelity events (stage deltas included) for building truncated
 // journals.
-func runGolden(t *testing.T, cfg Config, req string) (id string, result, stream []byte, full []api.ShotEvent, parsed Request) {
+func runGolden(t *testing.T, cfg Config, req string) (id string, result, stream []byte, full []api.ShotEvent, parsed api.Request) {
 	t.Helper()
 	ss := startStored(t, t.TempDir(), cfg)
 	defer ss.stop(t)
@@ -77,7 +77,7 @@ func runGolden(t *testing.T, cfg Config, req string) (id string, result, stream 
 	}
 	js := decodeStatus(t, resp)
 	final := waitTerminal(t, ss.ts.URL, js.ID)
-	if final.State != StateDone || final.Result == nil {
+	if final.State != api.StateDone || final.Result == nil {
 		t.Fatalf("golden job ended %s: %s", final.State, final.Error)
 	}
 	result, _ = json.Marshal(final.Result)
@@ -93,7 +93,7 @@ func runGolden(t *testing.T, cfg Config, req string) (id string, result, stream 
 // behind: the job record and its first k merged events, no terminal
 // record. (Equivalent to killing the process mid-run with everything up
 // to event k durable.)
-func buildCrashedJournal(t *testing.T, dir, id string, req Request, events []api.ShotEvent, k int) {
+func buildCrashedJournal(t *testing.T, dir, id string, req api.Request, events []api.ShotEvent, k int) {
 	t.Helper()
 	st, err := store.Open(store.Config{Dir: dir})
 	if err != nil {
@@ -141,7 +141,7 @@ func TestCrashRecoveryBitIdentity(t *testing.T) {
 						ss := startStored(t, dir, Config{MaxConcurrentJobs: 1, WorkerBudget: budget, CheckpointShots: 8})
 						defer ss.stop(t)
 						final := waitTerminal(t, ss.ts.URL, id)
-						if final.State != StateDone || final.Result == nil {
+						if final.State != api.StateDone || final.Result == nil {
 							t.Fatalf("resumed job ended %s: %s", final.State, final.Error)
 						}
 						gotRes, _ := json.Marshal(final.Result)
@@ -210,7 +210,7 @@ func TestRestartServesFinishedJobFromDisk(t *testing.T) {
 	ss2 := startStored(t, dir, Config{MaxConcurrentJobs: 1})
 	defer ss2.stop(t)
 	got, code := getStatus(t, ss2.ts.URL, js.ID)
-	if code != http.StatusOK || got.State != StateDone {
+	if code != http.StatusOK || got.State != api.StateDone {
 		t.Fatalf("restarted GET: status %d, state %q", code, got.State)
 	}
 	gotRes, _ := json.Marshal(got.Result)
@@ -257,11 +257,11 @@ func TestRecoveredCanceledJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Workload: "qrw", Param: 4, Shots: 10, Seed: 1}
+	req := api.Request{Workload: "qrw", Param: 4, Shots: 10, Seed: 1}
 	if err := st.JobSubmitted("job-1", req); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Terminal("job-1", StateCanceled, "server shutting down before the job started", nil); err != nil {
+	if err := st.Terminal("job-1", api.StateCanceled, "server shutting down before the job started", nil); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -269,7 +269,7 @@ func TestRecoveredCanceledJob(t *testing.T) {
 	ss := startStored(t, dir, Config{MaxConcurrentJobs: 1})
 	defer ss.stop(t)
 	js, code := getStatus(t, ss.ts.URL, "job-1")
-	if code != http.StatusOK || js.State != StateCanceled {
+	if code != http.StatusOK || js.State != api.StateCanceled {
 		t.Fatalf("recovered canceled job: status %d, state %q", code, js.State)
 	}
 	// The watermark moved past the recovered id: the next submission gets

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"artery/api"
 )
 
 // TestDeadlineExpiresBeforeStart: a job whose deadline_ms budget is
@@ -19,7 +21,7 @@ func TestDeadlineExpiresBeforeStart(t *testing.T) {
 		if j.Req.DeadlineMs == 0 {
 			<-unblock // the blocker job holds the only worker
 		}
-		j.complete(&Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
+		j.complete(&api.Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -46,7 +48,7 @@ func TestDeadlineExpiresBeforeStart(t *testing.T) {
 	close(unblock)
 
 	final := waitTerminal(t, ts.URL, js.ID)
-	if final.State != StateFailed {
+	if final.State != api.StateFailed {
 		t.Fatalf("job ended %q (%s), want failed", final.State, final.Error)
 	}
 	if !strings.Contains(final.Error, "expired before the job started") {
@@ -73,7 +75,7 @@ func TestDeadlineCancelsMidRun(t *testing.T) {
 			}
 			j.cancel("drained", s.now())
 		case <-time.After(10 * time.Second):
-			j.complete(&Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
+			j.complete(&api.Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
 		}
 	}
 	s.Start()
@@ -91,7 +93,7 @@ func TestDeadlineCancelsMidRun(t *testing.T) {
 	}
 	js := decodeStatus(t, resp)
 	final := waitTerminal(t, ts.URL, js.ID)
-	if final.State != StateCanceled {
+	if final.State != api.StateCanceled {
 		t.Fatalf("job ended %q (%s), want canceled by its deadline", final.State, final.Error)
 	}
 	var prom strings.Builder

@@ -1,3 +1,24 @@
+// Package server is arteryd's serving subsystem: an HTTP/JSON job
+// service in front of the deterministic parallel engine. It exposes
+//
+//	POST /v1/jobs             submit a workload run (202, or 429 + Retry-After when the queue is full)
+//	GET  /v1/jobs/{id}        job status and, when finished, the result
+//	GET  /v1/jobs/{id}/stream NDJSON per-shot updates as the merge path commits shots (?from=N resumes)
+//	GET  /metrics             Prometheus text exposition of the server's counters/gauges/histograms
+//	GET  /healthz, /readyz    liveness / admission readiness
+//
+// A bounded queue provides backpressure (admission control never buffers
+// unbounded memory), a fixed-size dispatcher pool shares the machine's
+// worker budget across concurrent jobs, every job runs through
+// artery.RunRangeStream with its own seed (jobs with equal seed, window
+// and history depth share one read-only calibration) — so results are
+// bit-identical regardless of co-tenancy — and graceful shutdown stops
+// admission, cancels in-flight jobs via their context and reports each
+// one's deterministic canceled prefix.
+//
+// The wire schema lives in the shared artery/api package (imported by the
+// server, the scatter-gather coordinator and the Go client alike, so the
+// three cannot drift).
 package server
 
 import (
@@ -205,12 +226,12 @@ func (s *Server) recoverFromStore() {
 		}
 		wl, err := api.ValidateRequest(rec.Req, s.cfg.MaxShots)
 		if err != nil {
-			st.Terminal(rec.ID, StateFailed, fmt.Sprintf("recovered job failed re-validation: %v", err), nil)
+			st.Terminal(rec.ID, api.StateFailed, fmt.Sprintf("recovered job failed re-validation: %v", err), nil)
 			continue
 		}
 		events, err := st.Events(rec.ID, 0)
 		if err != nil {
-			st.Terminal(rec.ID, StateFailed, fmt.Sprintf("recovered job's journal could not be read: %v", err), nil)
+			st.Terminal(rec.ID, api.StateFailed, fmt.Sprintf("recovered job's journal could not be read: %v", err), nil)
 			continue
 		}
 		j := newJob(rec.ID, rec.Req, wl, s.now())
@@ -224,7 +245,7 @@ func (s *Server) recoverFromStore() {
 		case s.queue <- j:
 			s.jobs[j.ID] = j
 		default:
-			st.Terminal(rec.ID, StateFailed, "recovered job exceeds the admission queue", nil)
+			st.Terminal(rec.ID, api.StateFailed, "recovered job exceeds the admission queue", nil)
 		}
 	}
 	s.m.queueDepth.Set(float64(len(s.queue)))
@@ -303,12 +324,12 @@ func (s *Server) worker() {
 		s.m.running.Set(s.runningDelta(-1))
 		st := j.snapshot(s.now())
 		switch st.State {
-		case StateDone:
+		case api.StateDone:
 			s.m.completed.Inc()
 			s.m.jobSeconds.Observe(st.ElapsedSec)
-		case StateFailed:
+		case api.StateFailed:
 			s.m.failed.Inc()
-		case StateCanceled:
+		case api.StateCanceled:
 			s.m.canceled.Inc()
 		}
 		s.retire(j)
@@ -348,7 +369,7 @@ func (s *Server) startJob(j *Job) {
 func (s *Server) runSafely(ctx context.Context, j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
-			if !terminal(j.snapshot(s.now()).State) {
+			if !api.Terminal(j.snapshot(s.now()).State) {
 				j.fail(fmt.Sprintf("internal error: job executor panicked: %v", r), s.now())
 			}
 		}
@@ -383,30 +404,43 @@ func (s *Server) perJobWorkers() int {
 // them, and record the final result — including the deterministic
 // canceled prefix if ctx was canceled mid-run by a drain.
 //
-// A job recovered from the journal mid-run carries a merged-event prefix
-// (Job.Prefix): the result fold is seeded with the prefix and only the
-// remaining range [offset+k, offset+shots) is executed. Per-shot RNG
-// streams are drawn by global shot index, so the continuation's events —
-// and the re-folded result — are byte-identical to the uninterrupted run.
+// The result is one fold (api.Merger) over the job's merged-event prefix
+// and then every live shot. The prefix is empty for a fresh job; a job
+// recovered from the journal mid-run carries the events that were durable
+// (Job.Prefix), and only the remaining range [offset+k, offset+shots) is
+// executed. Per-shot RNG streams are drawn by global shot index, so the
+// continuation's events — and the folded result — are byte-identical to
+// the uninterrupted run.
 func (s *Server) execute(ctx context.Context, j *Job) {
-	opts, ctrlName, err := buildOptions(j.Req, s.perJobWorkers())
+	opts, ctrl, err := api.LibraryOptions(j.Req)
 	if err != nil {
 		j.fail(err.Error(), s.now())
 		return
 	}
-	sys, err := s.calib.New(opts...)
+	sys, err := s.calib.New(append(opts, artery.WithWorkers(s.perJobWorkers()))...)
 	s.publishCalibration()
 	if err != nil {
 		j.fail(err.Error(), s.now())
 		return
 	}
+	agg := api.NewMerger(j.Req, j.wl)
 	prefix := j.Prefix()
-	if len(prefix) == 0 {
-		// Fresh job: the engine's own report is the result. Journaled
-		// events always carry stage deltas (the resume fold needs them);
-		// without a store this is the exact pre-durability path.
+	for _, ev := range prefix {
+		if err := agg.Add(ev); err != nil {
+			j.fail(fmt.Sprintf("journaled prefix: %v", err), s.now())
+			return
+		}
+	}
+	canceled := false
+	// A non-positive remainder means every shot was durable and only the
+	// terminal record was lost.
+	if remaining := j.Req.Shots - len(prefix); remaining > 0 {
+		// Journaled events always carry stage deltas (the resume fold
+		// needs them); without a store this is the exact pre-durability
+		// stream.
 		withStages := j.Req.StreamStages || j.store != nil
-		rep, err := sys.RunRangeStream(ctx, ctrlName, j.wl, j.Req.ShotOffset, j.Req.Shots, func(u artery.ShotUpdate) {
+		rep, err := sys.RunRangeStream(ctx, ctrl, j.wl, j.Req.ShotOffset+len(prefix), remaining, func(u artery.ShotUpdate) {
+			agg.AddShot(u)
 			j.AppendFull(api.EventFrom(u, withStages))
 			s.m.shotsStreamed.Inc()
 		})
@@ -414,43 +448,9 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 			j.fail(err.Error(), s.now())
 			return
 		}
-		j.complete(api.ResultFrom(rep), s.now())
-		return
+		canceled = rep.Canceled
 	}
-	agg := api.NewMerger(j.Req)
-	for _, ev := range prefix {
-		if err := agg.Add(ev); err != nil {
-			j.fail(fmt.Sprintf("journaled prefix: %v", err), s.now())
-			return
-		}
-	}
-	lo := j.Req.ShotOffset + len(prefix)
-	remaining := j.Req.Shots - len(prefix)
-	if remaining <= 0 {
-		// Every shot was durable; only the terminal record was lost.
-		j.complete(agg.Result(false), s.now())
-		return
-	}
-	var addErr error
-	rep, err := sys.RunRangeStream(ctx, ctrlName, j.wl, lo, remaining, func(u artery.ShotUpdate) {
-		ev := api.EventFrom(u, true)
-		if addErr == nil {
-			addErr = agg.Add(ev)
-		}
-		j.AppendFull(ev)
-		s.m.shotsStreamed.Inc()
-	})
-	if err != nil {
-		j.fail(err.Error(), s.now())
-		return
-	}
-	if addErr != nil {
-		j.fail(addErr.Error(), s.now())
-		return
-	}
-	cont := api.ResultFrom(rep)
-	agg.SetNames(cont)
-	j.complete(agg.Result(cont.Canceled), s.now())
+	j.complete(agg.Result(canceled), s.now())
 }
 
 // publishCalibration copies the calibration cache's counts into the
@@ -466,67 +466,16 @@ func (s *Server) publishCalibration() {
 	s.m.calibBytes.Set(float64(bytes))
 }
 
-// buildOptions maps a validated wire request onto artery functional
-// options plus the controller name.
-func buildOptions(req Request, workers int) ([]artery.Option, string, error) {
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	opts := []artery.Option{artery.WithSeed(seed), artery.WithWorkers(workers)}
-	ctrl := req.Controller
-	if ctrl == "" {
-		ctrl = "ARTERY"
-	}
-	if o := req.Options; o != nil {
-		if o.WindowNs != 0 {
-			opts = append(opts, artery.WithWindowNs(o.WindowNs))
-		}
-		if o.HistoryDepth != 0 {
-			opts = append(opts, artery.WithHistoryDepth(o.HistoryDepth))
-		}
-		if o.Theta != 0 {
-			opts = append(opts, artery.WithTheta(o.Theta))
-		}
-		mode, ok := api.ModeByName[o.Mode]
-		if !ok {
-			return nil, "", fmt.Errorf("unknown predictor mode %q (combined|history|trajectory)", o.Mode)
-		}
-		opts = append(opts, artery.WithMode(mode))
-		if o.StateSim != nil && !*o.StateSim {
-			opts = append(opts, artery.WithoutStateSim())
-		}
-		if o.DynamicalDecoupling {
-			opts = append(opts, artery.WithDynamicalDecoupling())
-		}
-		if o.QuasiStaticSigma != 0 {
-			opts = append(opts, artery.WithQuasiStaticSigma(o.QuasiStaticSigma))
-		}
-		if o.Backend != "" {
-			opts = append(opts, artery.WithBackend(o.Backend))
-		}
-	}
-	return opts, ctrl, nil
-}
-
-// validate checks a request at admission time: workload, controller,
-// shot-range bounds and option ranges all fail fast with 400 instead of
-// a failed job (the shared api.ValidateRequest, bound to this server's
-// shot cap).
-func (s *Server) validate(req Request) (*artery.Workload, error) {
-	return api.ValidateRequest(req, s.cfg.MaxShots)
-}
-
 // handleSubmit is POST /v1/jobs: decode, validate, admit.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	var req Request
+	var req api.Request
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err), 0)
 		return
 	}
-	wl, err := s.validate(req)
+	wl, err := api.ValidateRequest(req, s.cfg.MaxShots)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
@@ -561,7 +510,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// The id stays burned — a partial record may have reached disk —
 			// and a best-effort terminal record stops recovery from
 			// resurrecting a job the client was told failed.
-			st.Terminal(j.ID, StateFailed, "journal append failed at admission", nil)
+			st.Terminal(j.ID, api.StateFailed, "journal append failed at admission", nil)
 			s.mu.Unlock()
 			writeError(w, http.StatusInternalServerError, fmt.Sprintf("journal append failed: %v", err), 0)
 			return
@@ -573,7 +522,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if j.store != nil {
 			// The id is journaled, so it cannot be reused; record the
 			// rejection so recovery does not re-admit a job no client owns.
-			j.store.Terminal(j.ID, StateCanceled, "admission queue full", nil)
+			j.store.Terminal(j.ID, api.StateCanceled, "admission queue full", nil)
 		} else {
 			s.nextID-- // job never existed
 		}
@@ -670,8 +619,8 @@ func (s *Server) storeLookup(id string) (store.JobRecord, bool) {
 }
 
 // statusFromRecord renders a journal record as the status document.
-func statusFromRecord(rec store.JobRecord) JobStatus {
-	return JobStatus{
+func statusFromRecord(rec store.JobRecord) api.JobStatus {
+	return api.JobStatus{
 		ID:            rec.ID,
 		State:         rec.State,
 		Request:       rec.Req,
@@ -694,7 +643,7 @@ func (s *Server) writeUnknownJob(w http.ResponseWriter, id string) {
 			issued := n <= s.nextID
 			s.mu.Unlock()
 			if issued {
-				writeJSON(w, http.StatusGone, ErrorBody{Error: "job evicted", Code: api.CodeEvicted})
+				writeJSON(w, http.StatusGone, api.ErrorBody{Error: "job evicted", Code: api.CodeEvicted})
 				return
 			}
 		}
@@ -791,7 +740,7 @@ func (s *Server) streamFromStore(w http.ResponseWriter, r *http.Request, rec sto
 			return
 		}
 	}
-	enc.Encode(StreamEnd{Done: true, State: rec.State, Error: rec.Error, Result: rec.Result})
+	enc.Encode(api.StreamEnd{Done: true, State: rec.State, Error: rec.Error, Result: rec.Result})
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -845,5 +794,5 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string, retryAfter int) {
-	writeJSON(w, status, ErrorBody{Error: msg, RetryAfterSec: retryAfter})
+	writeJSON(w, status, api.ErrorBody{Error: msg, RetryAfterSec: retryAfter})
 }

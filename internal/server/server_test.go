@@ -27,10 +27,10 @@ func postJob(t *testing.T, base string, body string) *http.Response {
 }
 
 // decodeStatus decodes a JobStatus response body and closes it.
-func decodeStatus(t *testing.T, resp *http.Response) JobStatus {
+func decodeStatus(t *testing.T, resp *http.Response) api.JobStatus {
 	t.Helper()
 	defer resp.Body.Close()
-	var js JobStatus
+	var js api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
 		t.Fatalf("decode status: %v", err)
 	}
@@ -38,7 +38,7 @@ func decodeStatus(t *testing.T, resp *http.Response) JobStatus {
 }
 
 // getStatus fetches GET /v1/jobs/{id}.
-func getStatus(t *testing.T, base, id string) (JobStatus, int) {
+func getStatus(t *testing.T, base, id string) (api.JobStatus, int) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
@@ -46,9 +46,9 @@ func getStatus(t *testing.T, base, id string) (JobStatus, int) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return JobStatus{}, resp.StatusCode
+		return api.JobStatus{}, resp.StatusCode
 	}
-	var js JobStatus
+	var js api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
 		t.Fatalf("decode status: %v", err)
 	}
@@ -57,7 +57,7 @@ func getStatus(t *testing.T, base, id string) (JobStatus, int) {
 
 // waitState polls a job until it reaches want (or any terminal state, if
 // want is empty) and returns the final snapshot.
-func waitTerminal(t *testing.T, base, id string) JobStatus {
+func waitTerminal(t *testing.T, base, id string) api.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -65,13 +65,13 @@ func waitTerminal(t *testing.T, base, id string) JobStatus {
 		if code != http.StatusOK {
 			t.Fatalf("GET job %s: status %d", id, code)
 		}
-		if terminal(js.State) {
+		if api.Terminal(js.State) {
 			return js
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached a terminal state", id)
-	return JobStatus{}
+	return api.JobStatus{}
 }
 
 // TestSubmitRejectsWhenQueueFull drives admission control to capacity: one
@@ -86,7 +86,7 @@ func TestSubmitRejectsWhenQueueFull(t *testing.T) {
 		started <- struct{}{}
 		select {
 		case <-unblock:
-			j.complete(&Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
+			j.complete(&api.Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
 		case <-ctx.Done():
 			j.cancel("canceled by drain", s.now())
 		}
@@ -111,7 +111,7 @@ func TestSubmitRejectsWhenQueueFull(t *testing.T) {
 		t.Fatalf("job A: status %d, want 202", respA.StatusCode)
 	}
 	a := decodeStatus(t, respA)
-	if a.State != StateQueued || a.ID == "" {
+	if a.State != api.StateQueued || a.ID == "" {
 		t.Fatalf("job A snapshot: %+v", a)
 	}
 	select {
@@ -138,7 +138,7 @@ func TestSubmitRejectsWhenQueueFull(t *testing.T) {
 	if err != nil || secs < 1 {
 		t.Errorf("Retry-After = %q, want a positive integer", ra)
 	}
-	var eb ErrorBody
+	var eb api.ErrorBody
 	if err := json.NewDecoder(respC.Body).Decode(&eb); err != nil {
 		t.Fatalf("decode 429 body: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestJobTableFull(t *testing.T) {
 		case <-unblock:
 		case <-ctx.Done():
 		}
-		j.complete(&Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
+		j.complete(&api.Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -221,7 +221,7 @@ func TestJobTableFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body ErrorBody
+	var body api.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestWorkerRecoversExecutorPanic(t *testing.T) {
 		if j.Req.Seed == 666 {
 			panic("executor exploded")
 		}
-		j.complete(&Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
+		j.complete(&api.Result{Workload: "QRW-3", Shots: j.Req.Shots}, s.now())
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -256,12 +256,12 @@ func TestWorkerRecoversExecutorPanic(t *testing.T) {
 
 	bad := decodeStatus(t, postJob(t, ts.URL, `{"workload":"qrw","param":3,"shots":5,"seed":666}`))
 	js := waitTerminal(t, ts.URL, bad.ID)
-	if js.State != StateFailed || !strings.Contains(js.Error, "panicked") {
+	if js.State != api.StateFailed || !strings.Contains(js.Error, "panicked") {
 		t.Fatalf("panicked job ended %q (error %q), want failed with a panic message", js.State, js.Error)
 	}
 
 	good := decodeStatus(t, postJob(t, ts.URL, `{"workload":"qrw","param":3,"shots":5}`))
-	if js := waitTerminal(t, ts.URL, good.ID); js.State != StateDone {
+	if js := waitTerminal(t, ts.URL, good.ID); js.State != api.StateDone {
 		t.Fatalf("job after the panic ended %q, want done — did the worker die?", js.State)
 	}
 }
@@ -298,7 +298,7 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		resp := postJob(t, ts.URL, c.body)
-		var eb ErrorBody
+		var eb api.ErrorBody
 		err := json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
@@ -329,14 +329,14 @@ func TestUnknownJob404(t *testing.T) {
 
 // streamedLine is the union of the two NDJSON shapes, for test decoding.
 type streamedLine struct {
-	ShotEvent
-	Done   bool    `json:"done"`
-	State  string  `json:"state"`
-	Result *Result `json:"result"`
+	api.ShotEvent
+	Done   bool        `json:"done"`
+	State  string      `json:"state"`
+	Result *api.Result `json:"result"`
 }
 
 // readStream consumes a job's NDJSON stream to its terminal line.
-func readStream(t *testing.T, base, id string) (events []ShotEvent, end streamedLine) {
+func readStream(t *testing.T, base, id string) (events []api.ShotEvent, end streamedLine) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/stream")
 	if err != nil {
@@ -388,7 +388,7 @@ func TestStreamMatchesFinalResult(t *testing.T) {
 	js := decodeStatus(t, resp)
 
 	events, end := readStream(t, ts.URL, js.ID)
-	if end.State != StateDone || end.Result == nil {
+	if end.State != api.StateDone || end.Result == nil {
 		t.Fatalf("stream end %+v, want done with result", end)
 	}
 	if len(events) != shots || end.Result.Shots != shots {
@@ -404,7 +404,7 @@ func TestStreamMatchesFinalResult(t *testing.T) {
 	}
 
 	final := waitTerminal(t, ts.URL, js.ID)
-	if final.State != StateDone || final.Result == nil || final.ShotsStreamed != shots {
+	if final.State != api.StateDone || final.Result == nil || final.ShotsStreamed != shots {
 		t.Fatalf("final status %+v", final)
 	}
 	streamJSON, _ := json.Marshal(end.Result)
@@ -420,7 +420,7 @@ func TestStreamMatchesFinalResult(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("replayed event history differs from the live stream")
 	}
-	if end2.State != StateDone {
+	if end2.State != api.StateDone {
 		t.Errorf("replayed end state %q", end2.State)
 	}
 }
@@ -447,7 +447,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		js, _ := getStatus(t, ts.URL, a.ID)
-		if js.State == StateRunning && js.ShotsStreamed > 0 {
+		if js.State == api.StateRunning && js.ShotsStreamed > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -496,7 +496,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 
 	// Job A: done, with a deterministic canceled prefix.
 	finalA, _ := getStatus(t, ts.URL, a.ID)
-	if finalA.State != StateDone || finalA.Result == nil {
+	if finalA.State != api.StateDone || finalA.Result == nil {
 		t.Fatalf("drained job A: %+v", finalA)
 	}
 	if !finalA.Result.Canceled {
@@ -511,13 +511,13 @@ func TestGracefulShutdownDrain(t *testing.T) {
 
 	// Job B: canceled without running.
 	finalB, _ := getStatus(t, ts.URL, b.ID)
-	if finalB.State != StateCanceled || finalB.ShotsStreamed != 0 {
+	if finalB.State != api.StateCanceled || finalB.ShotsStreamed != 0 {
 		t.Fatalf("queued job B after drain: %+v", finalB)
 	}
 
 	// The stream of a terminal job still replays and terminates.
 	events, end := readStream(t, ts.URL, a.ID)
-	if len(events) != finalA.Result.Shots || end.State != StateDone {
+	if len(events) != finalA.Result.Shots || end.State != api.StateDone {
 		t.Errorf("post-drain stream: %d events, end %+v", len(events), end)
 	}
 }
@@ -573,11 +573,11 @@ func TestFailedJobSurfacesError(t *testing.T) {
 	resp := postJob(t, ts.URL, `{"workload":"qrw","param":3,"shots":5}`)
 	js := decodeStatus(t, resp)
 	final := waitTerminal(t, ts.URL, js.ID)
-	if final.State != StateFailed || final.Error != "engine exploded" {
+	if final.State != api.StateFailed || final.Error != "engine exploded" {
 		t.Fatalf("failed job status: %+v", final)
 	}
 	_, end := readStream(t, ts.URL, js.ID)
-	if end.State != StateFailed {
+	if end.State != api.StateFailed {
 		t.Errorf("stream end state %q, want failed", end.State)
 	}
 }

@@ -29,14 +29,14 @@ func TestStreamFromResumesMidLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	var js JobStatus
+	var js api.JobStatus
 	json.NewDecoder(resp.Body).Decode(&js)
 	resp.Body.Close()
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st, _ := http.Get(ts.URL + "/v1/jobs/" + js.ID)
-		var cur JobStatus
+		var cur api.JobStatus
 		json.NewDecoder(st.Body).Decode(&cur)
 		st.Body.Close()
 		if api.Terminal(cur.State) {
@@ -61,7 +61,7 @@ func TestStreamFromResumesMidLog(t *testing.T) {
 	events, sawEnd := 0, false
 	for sc.Scan() {
 		var line struct {
-			ShotEvent
+			api.ShotEvent
 			Done bool `json:"done"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {

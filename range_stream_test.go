@@ -54,7 +54,7 @@ func TestRunRangeStreamShardsBitIdentical(t *testing.T) {
 		if u.Shot != i {
 			t.Fatalf("update %d carries shot %d", i, u.Shot)
 		}
-		if len(u.Stages) == 0 || u.Stages[0].Stage != "payload" {
+		if len(u.Stages) == 0 || u.Stages[0].Stage.String() != "payload" {
 			t.Fatalf("update %d stage deltas %+v: want payload first", i, u.Stages)
 		}
 	}

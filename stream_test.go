@@ -2,6 +2,7 @@ package artery_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -97,16 +98,34 @@ func TestWorkloadByNameRegistry(t *testing.T) {
 	}
 }
 
-// TestValidateOptions checks the calibration-free validator agrees with
-// the constructor.
-func TestValidateOptions(t *testing.T) {
-	if err := artery.ValidateOptions(artery.Options{}); err != nil {
+// TestValidate checks the calibration-free validator agrees with the
+// constructor, and with a run on the backend checks a run makes before its
+// first shot.
+func TestValidate(t *testing.T) {
+	wl := artery.QRW(3)
+	if err := artery.Validate(wl); err != nil {
 		t.Errorf("zero options invalid: %v", err)
 	}
-	if err := artery.ValidateOptions(artery.Options{Theta: 1.5}); err == nil {
+	if err := artery.Validate(wl, artery.WithTheta(1.5)); err == nil {
 		t.Error("Theta=1.5 validated, want error")
 	}
-	if err := artery.ValidateOptions(artery.Options{HistoryDepth: 99}); err == nil {
+	if err := artery.Validate(wl, artery.WithHistoryDepth(99)); err == nil {
 		t.Error("HistoryDepth=99 validated, want error")
+	}
+	if err := artery.Validate(nil); err == nil {
+		t.Error("nil workload validated, want error")
+	}
+	// DQT's ry rotations are not Clifford: the stabilizer backend rejects
+	// the circuit unless state simulation (the only backend user) is off.
+	dqt, stab := artery.DQT(2), artery.WithBackend("stabilizer")
+	if err := artery.Validate(dqt, stab); !errors.Is(err, artery.ErrNonClifford) {
+		t.Errorf("DQT on the stabilizer backend: err = %v, want ErrNonClifford", err)
+	}
+	if err := artery.Validate(dqt, stab, artery.WithoutStateSim()); err != nil {
+		t.Errorf("DQT on the stabilizer backend without state simulation: %v", err)
+	}
+	sys := artery.MustNew(artery.WithSeed(1), stab)
+	if _, err := sys.RunContext(context.Background(), dqt, 1); !errors.Is(err, artery.ErrNonClifford) {
+		t.Errorf("run disagrees with Validate: err = %v, want ErrNonClifford", err)
 	}
 }
