@@ -45,13 +45,15 @@ ci: fmt-check tier1
 	$(MAKE) chaos-smoke
 
 # Short fuzzing pass over the pulse codecs, the compiled-vs-interpreted
-# circuit differential and the NDJSON shot-event decoder (one -fuzz target
-# per invocation, as the go tool requires).
+# circuit differential, the QASM parse/serialize round trip and the NDJSON
+# shot-event decoder (one -fuzz target per invocation, as the go tool
+# requires).
 fuzz-smoke:
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripHuffman$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripRLE$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripCombined$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/circuit -run '^$$' -fuzz '^FuzzCompiledVsInterpreted$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/circuit -run '^$$' -fuzz '^FuzzQASMRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzBackendVsStateVector$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./api -run '^$$' -fuzz '^FuzzShotEvent$$' -fuzztime $(FUZZTIME)
 

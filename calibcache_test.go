@@ -3,6 +3,8 @@ package artery
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
 	"sync"
 	"testing"
@@ -90,35 +92,33 @@ func TestCalibrationCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// heapChildEnv marks the fresh process in which TestCalibrationCacheBounds
+// measures heap.
+const heapChildEnv = "ARTERY_CALIBCACHE_HEAP_CHILD"
+
 // TestCalibrationCacheBounds checks the byte cap. A channel charges at
 // least the heap it keeps alive, at the smallest and the default depth;
 // an entry larger than the cap is never kept; and filling past the cap
 // evicts the least recently used channel first.
+//
+// The heap rows read process heap, so they run in a child process that
+// runs only this test: heap left behind by earlier tests in the same
+// process cannot count against an entry. Package init has already
+// calibrated sys there, so shared carrier state is warm before the first
+// reading.
 func TestCalibrationCacheBounds(t *testing.T) {
 	if entryBytes(6) != 36352 || entryBytes(15) <= calibCacheBytes || entryBytes(14)+2*entryBytes(13) <= calibCacheBytes {
 		t.Fatalf("entry sizes moved: k=6 %d B, k=13 %d B, k=14 %d B, k=15 %d B",
 			entryBytes(6), entryBytes(13), entryBytes(14), entryBytes(15))
 	}
-	for _, row := range []struct{ k, n int }{{1, 16}, {6, 8}} {
-		var c CalibrationCache
-		var before, after runtime.MemStats
-		runtime.GC() // twice: the first only moves sync.Pool items to the victim cache
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < row.n; i++ {
-			if _, err := c.New(WithSeed(uint64(100+i)), WithHistoryDepth(row.k), WithoutStateSim()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		perEntry := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(row.n)
-		if _, _, bytes := c.Stats(); perEntry > entryBytes(row.k) || bytes != int64(row.n)*entryBytes(row.k) {
-			t.Errorf("k=%d: %d entries keep %d B of heap each and are charged %d B in all, want at most %d B each",
-				row.k, row.n, perEntry, bytes, entryBytes(row.k))
-		}
-		runtime.KeepAlive(&c)
+	if os.Getenv(heapChildEnv) == "1" {
+		cacheHeapRows(t)
+		return
+	}
+	child := exec.Command(os.Args[0], "-test.run=^TestCalibrationCacheBounds$")
+	child.Env = append(os.Environ(), heapChildEnv+"=1")
+	if out, err := child.CombinedOutput(); err != nil {
+		t.Fatalf("heap rows in a fresh process: %v\n%s", err, out)
 	}
 
 	var c CalibrationCache
@@ -160,5 +160,31 @@ func TestCalibrationCacheBounds(t *testing.T) {
 	get(6, 16)
 	if hits, misses, bytes := c.Stats(); hits != 2 || misses != 6 || bytes != before {
 		t.Fatalf("two k=16 systems: %d hits, %d misses, %d B retained; want 2, 6, %d", hits, misses, bytes, before)
+	}
+}
+
+// cacheHeapRows checks that k = 1 and k = 6 entries keep no more heap
+// alive than they are charged.
+func cacheHeapRows(t *testing.T) {
+	for _, row := range []struct{ k, n int }{{1, 16}, {6, 8}} {
+		var c CalibrationCache
+		var before, after runtime.MemStats
+		runtime.GC() // twice: the first only moves sync.Pool items to the victim cache
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < row.n; i++ {
+			if _, err := c.New(WithSeed(uint64(100+i)), WithHistoryDepth(row.k), WithoutStateSim()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perEntry := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(row.n)
+		if _, _, bytes := c.Stats(); perEntry > entryBytes(row.k) || bytes != int64(row.n)*entryBytes(row.k) {
+			t.Errorf("k=%d: %d entries keep %d B of heap each and are charged %d B in all, want at most %d B each",
+				row.k, row.n, perEntry, bytes, entryBytes(row.k))
+		}
+		runtime.KeepAlive(&c)
 	}
 }

@@ -11,8 +11,6 @@ import (
 
 	"artery/internal/circuit"
 	"artery/internal/pulse"
-	"artery/internal/readout"
-	"artery/internal/stats"
 )
 
 // TestIntegrationPredictCompileCompressRun walks one workload through
@@ -61,28 +59,6 @@ func TestIntegrationPredictCompileCompressRun(t *testing.T) {
 	}
 	if math.IsNaN(a.Fidelity) {
 		t.Fatal("fidelity missing")
-	}
-}
-
-// TestIntegrationCalibrationPersistsAcrossSystems checks the calibrate-
-// once / reload-everywhere flow on the readout substrate.
-func TestIntegrationCalibrationPersistsAcrossSystems(t *testing.T) {
-	ch := readout.NewChannel(readout.DefaultCalibration(), 30, 6, stats.NewRNG(5))
-	blob, err := readout.MarshalChannel(ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := readout.UnmarshalChannel(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(6)
-	for i := 0; i < 50; i++ {
-		p := ch.Cal.Synthesize(i%2, rng)
-		if restored.Table.PRead1(restored.Classifier.WindowBits(p, 300)) !=
-			ch.Table.PRead1(ch.Classifier.WindowBits(p, 300)) {
-			t.Fatal("restored channel predicts differently")
-		}
 	}
 }
 

@@ -131,30 +131,6 @@ func TestDAGNoDuplicateEdgeFor2QPair(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	c := New(3)
-	c.AddGate(NewGate1(H, 0))     // 0
-	c.AddGate(NewGate2(CZ, 0, 1)) // 1
-	c.AddGate(NewGate1(X, 2))     // 2 (off critical path)
-	d := BuildDAG(c)
-	p := d.CriticalPath()
-	if len(p) != 2 || p[0] != 0 || p[1] != 1 {
-		t.Fatalf("critical path = %v, want [0 1]", p)
-	}
-}
-
-func TestQubitBusyUntil(t *testing.T) {
-	c := New(2)
-	c.AddGate(NewGate1(H, 0))
-	c.AddGate(NewGate2(CZ, 0, 1))
-	c.AddFeedback(&Feedback{Qubit: 0, OnOne: Gates(NewGate1(X, 1))})
-	d := BuildDAG(c)
-	busy := d.QubitBusyUntil(2)
-	if busy[0] != 90 || busy[1] != 90 {
-		t.Fatalf("busy = %v", busy)
-	}
-}
-
 func mkFB(readQ int, onOne, onZero []Instruction) (*Circuit, *Feedback) {
 	c := New(4)
 	fb := &Feedback{Qubit: readQ, OnOne: onOne, OnZero: onZero}
@@ -240,24 +216,6 @@ func TestAnalyzeAll(t *testing.T) {
 	}
 }
 
-func TestRetargetToAncilla(t *testing.T) {
-	body := Gates(NewGate2(CNOT, 1, 2), NewGate1(H, 2), NewGate2(CZ, 3, 1))
-	out := RetargetToAncilla(body, 1, 0)
-	if out[0].Gate.Qubits[0] != 0 || out[0].Gate.Qubits[1] != 2 {
-		t.Fatalf("CNOT not retargeted: %v", out[0].Gate)
-	}
-	if out[1].Gate.Qubits[0] != 2 {
-		t.Fatalf("unrelated gate changed: %v", out[1].Gate)
-	}
-	if out[2].Gate.Qubits[1] != 0 {
-		t.Fatalf("CZ not retargeted: %v", out[2].Gate)
-	}
-	// Original body untouched.
-	if body[0].Gate.Qubits[0] != 1 {
-		t.Fatal("RetargetToAncilla mutated input")
-	}
-}
-
 func TestRecoveryProgram(t *testing.T) {
 	onOne := Gates(NewRot(RX, 2, 0.5), NewGate1(H, 2))
 	onZero := Gates(NewGate1(Z, 3))
@@ -287,28 +245,32 @@ func TestInverseOfPanicsOnIrreversible(t *testing.T) {
 
 // TestPreExecutionEquivalence numerically checks the Appendix theorem:
 // pre-executing a (case-1) branch body during the readout, then recovering
-// on a misprediction, produces exactly the state of the conventional
-// measure-then-branch execution.
+// on a misprediction with RecoveryProgram, produces exactly the state of
+// the conventional measure-then-branch execution. Both branch bodies are
+// random, so the undo of either one is checked against the state vector.
 func TestPreExecutionEquivalence(t *testing.T) {
 	f := func(seed uint64, predictBit bool) bool {
 		rng := stats.NewRNG(seed)
-		// Random branch body acting on qubits {1,2} (read qubit is 0).
-		var body []Instruction
-		nGates := 1 + rng.Intn(5)
-		for i := 0; i < nGates; i++ {
-			q := 1 + rng.Intn(2)
-			switch rng.Intn(4) {
-			case 0:
-				body = append(body, Gates(NewRot(RX, q, rng.Float64()*2))...)
-			case 1:
-				body = append(body, Gates(NewRot(RY, q, rng.Float64()*2))...)
-			case 2:
-				body = append(body, Gates(NewGate1(H, q))...)
-			default:
-				body = append(body, Gates(NewGate2(CZ, 1, 2))...)
+		// Random branch bodies acting on qubits {1,2} (read qubit is 0).
+		randomBody := func() []Instruction {
+			var body []Instruction
+			nGates := 1 + rng.Intn(5)
+			for i := 0; i < nGates; i++ {
+				q := 1 + rng.Intn(2)
+				switch rng.Intn(4) {
+				case 0:
+					body = append(body, Gates(NewRot(RX, q, rng.Float64()*2))...)
+				case 1:
+					body = append(body, Gates(NewRot(RY, q, rng.Float64()*2))...)
+				case 2:
+					body = append(body, Gates(NewGate1(H, q))...)
+				default:
+					body = append(body, Gates(NewGate2(CZ, 1, 2))...)
+				}
 			}
+			return body
 		}
-		fb := &Feedback{Qubit: 0, OnOne: body, OnZero: nil}
+		fb := &Feedback{Qubit: 0, OnOne: randomBody(), OnZero: randomBody()}
 		c := New(3)
 		c.AddFeedback(fb)
 		a := AnalyzeSite(c, 0)
@@ -326,16 +288,17 @@ func TestPreExecutionEquivalence(t *testing.T) {
 			s.CZ(1, 2)
 			return s
 		}
+		apply := func(s *quantum.State, body []Instruction) {
+			for _, in := range body {
+				in.Gate.Apply(s)
+			}
+		}
 
 		// Conventional: measure, then branch.
 		sA := prep()
 		rA := stats.NewRNG(seed + 7)
 		m := sA.Measure(0, rA)
-		if m == 1 {
-			for _, in := range fb.OnOne {
-				in.Gate.Apply(sA)
-			}
-		}
+		apply(sA, bodyFor(fb, m))
 
 		// Pre-execution: apply predicted branch, measure, recover if wrong.
 		predicted := 0
@@ -344,25 +307,27 @@ func TestPreExecutionEquivalence(t *testing.T) {
 		}
 		sB := prep()
 		rB := stats.NewRNG(seed + 7) // same measurement randomness
-		if predicted == 1 {
-			for _, in := range fb.OnOne {
-				in.Gate.Apply(sB)
-			}
-		}
+		apply(sB, bodyFor(fb, predicted))
 		mB := sB.Measure(0, rB)
 		if mB != m {
 			return false // branch gates must not disturb the readout statistics
 		}
 		if mB != predicted {
-			for _, in := range a.RecoveryProgram(fb, predicted) {
-				in.Gate.Apply(sB)
-			}
+			apply(sB, a.RecoveryProgram(fb, predicted))
 		}
 		return math.Abs(sA.Fidelity(sB)-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// bodyFor returns the branch body fb runs on outcome m.
+func bodyFor(fb *Feedback, m int) []Instruction {
+	if m == 1 {
+		return fb.OnOne
+	}
+	return fb.OnZero
 }
 
 func TestBodyDuration(t *testing.T) {

@@ -55,6 +55,16 @@ func cliffordAngleClass(angle float64) (class int, ok bool) {
 	return 0, false
 }
 
+// cliffordRotationClass is cliffordAngleClass for a rotation gate that
+// must be Clifford; it panics on any other angle.
+func cliffordRotationClass(g Gate) int {
+	class, ok := cliffordAngleClass(g.Angle)
+	if !ok {
+		panic(fmt.Sprintf("circuit: ApplyCliffordGate on non-Clifford gate %v", g))
+	}
+	return class
+}
+
 // IsCliffordGate reports whether g is in the Clifford group (up to
 // global phase).
 func IsCliffordGate(g Gate) bool {
@@ -100,7 +110,7 @@ func ApplyCliffordGate(b quantum.Backend, g Gate) {
 	case SWAP:
 		b.SWAP(q, g.Qubits[1])
 	case RX:
-		switch class, _ := cliffordAngleClass(g.Angle); class {
+		switch cliffordRotationClass(g) {
 		case 1:
 			b.Sdg(q)
 			b.H(q)
@@ -115,7 +125,7 @@ func ApplyCliffordGate(b quantum.Backend, g Gate) {
 	case RY:
 		// Matrix products read right to left: RY(+π/2) = H·Z applies Z
 		// first.
-		switch class, _ := cliffordAngleClass(g.Angle); class {
+		switch cliffordRotationClass(g) {
 		case 1:
 			b.Z(q)
 			b.H(q)
@@ -126,7 +136,7 @@ func ApplyCliffordGate(b quantum.Backend, g Gate) {
 			b.Y(q)
 		}
 	case RZ:
-		switch class, _ := cliffordAngleClass(g.Angle); class {
+		switch cliffordRotationClass(g) {
 		case 1:
 			b.S(q)
 		case -1:

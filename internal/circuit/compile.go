@@ -18,9 +18,10 @@ import (
 // breaks the run. Replaying a fused run pair-by-pair performs exactly the
 // floating-point operations of the unfused gates in the original order
 // (see the bit-identity contract in internal/quantum/kernels.go), so the
-// compiled path is bit-identical to the interpreted one — enforced by
-// FuzzCompiledVsInterpreted here and the engine-level differential tests
-// in internal/core.
+// compiled path is bit-identical to a gate-by-gate walk — enforced by
+// FuzzCompiledVsInterpreted here and by the engine-level differential
+// tests in internal/core, which replay every shot through an instruction
+// walk.
 
 // TapeOpKind discriminates compiled operations.
 type TapeOpKind uint8
@@ -171,8 +172,7 @@ func allGates(body []Instruction) bool {
 }
 
 // compileBody compiles a feedback branch body. Non-gate instructions are
-// dropped: the engine's interpreted path has always skipped them when
-// executing bodies (see applyBody and the ideal branch replay in
+// dropped: the engine skips them when executing bodies (see applyBody in
 // internal/core), so the tape encodes exactly what executes.
 func compileBody(body []Instruction, numQubits int) *Tape {
 	b := newTapeBuilder(numQubits)

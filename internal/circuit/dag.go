@@ -62,56 +62,3 @@ func (d *DAG) Depth() float64 {
 	}
 	return m
 }
-
-// CriticalPath returns one longest instruction chain (by duration) as a
-// list of instruction indices, root first.
-func (d *DAG) CriticalPath() []int {
-	n := len(d.c.Ins)
-	if n == 0 {
-		return nil
-	}
-	// The instruction with the latest end time terminates a critical path.
-	end := 0
-	for i := 1; i < n; i++ {
-		if d.End[i] > d.End[end] {
-			end = i
-		}
-	}
-	var path []int
-	for i := end; ; {
-		path = append(path, i)
-		// Follow the predecessor that determines our start time.
-		next := -1
-		for _, p := range d.Pred[i] {
-			if d.End[p] == d.Start[i] {
-				next = p
-				break
-			}
-		}
-		if next < 0 {
-			break
-		}
-		i = next
-	}
-	// Reverse to root-first order.
-	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-		path[l], path[r] = path[r], path[l]
-	}
-	return path
-}
-
-// QubitBusyUntil returns, for each qubit, the time at which its last
-// scheduled instruction before index site completes. Used by the
-// pre-execution analysis to decide whether branch qubits are free during
-// the readout window.
-func (d *DAG) QubitBusyUntil(site int) map[int]float64 {
-	busy := map[int]float64{}
-	for i := 0; i < site; i++ {
-		for _, q := range d.c.Ins[i].QubitList() {
-			if d.End[i] > busy[q] {
-				busy[q] = d.End[i]
-			}
-		}
-	}
-	return busy
-}

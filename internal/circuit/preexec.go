@@ -130,28 +130,6 @@ func AnalyzeAll(c *Circuit) []*SiteAnalysis {
 	return out
 }
 
-// RetargetToAncilla rewrites a branch body for case-2 pre-execution:
-// occurrences of the read qubit are replaced with the ancilla qubit. The
-// caller prepares the ancilla in the predicted classical state before
-// running the rewritten body (the read qubit has collapsed, so its state is
-// classical and clonable).
-func RetargetToAncilla(body []Instruction, readQubit, ancilla int) []Instruction {
-	out := make([]Instruction, len(body))
-	for i, in := range body {
-		out[i] = in
-		if in.Kind == OpGate {
-			g := in.Gate
-			for k := range g.Qubits {
-				if g.Qubits[k] == readQubit {
-					g.Qubits[k] = ancilla
-				}
-			}
-			out[i].Gate = g
-		}
-	}
-	return out
-}
-
 // RecoveryProgram returns the full correction sequence executed after a
 // misprediction at the analyzed site: the inverse of the pre-executed
 // (predicted) branch followed by the correct branch.

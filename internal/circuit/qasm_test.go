@@ -115,26 +115,52 @@ func TestQASMRoundTripProperty(t *testing.T) {
 	}
 }
 
+// badQASM lists sources ParseQASM must reject.
+var badQASM = []string{
+	"",                                 // no header
+	"qubits 0",                         // bad count
+	"qubits 2\nfoo q0",                 // unknown gate
+	"qubits 2\nh q5",                   // out of range
+	"qubits 2\nh q0, q1",               // wrong arity
+	"qubits 2\ncz q0",                  // wrong arity
+	"qubits 2\nrx q0",                  // missing angle
+	"qubits 2\nh(1.2) q0",              // angle on non-rotation
+	"qubits 2\nmeasure x0",             // bad operand
+	"qubits 2\nfeedback q0 {",          // unterminated block
+	"qubits 2\nrx(zz) q0",              // bad angle literal
+	"qubits 2\nfeedback q0 {\noops\n}", // bad branch line
+}
+
 func TestParseQASMErrors(t *testing.T) {
-	cases := []string{
-		"",                                 // no header
-		"qubits 0",                         // bad count
-		"qubits 2\nfoo q0",                 // unknown gate
-		"qubits 2\nh q5",                   // out of range
-		"qubits 2\nh q0, q1",               // wrong arity
-		"qubits 2\ncz q0",                  // wrong arity
-		"qubits 2\nrx q0",                  // missing angle
-		"qubits 2\nh(1.2) q0",              // angle on non-rotation
-		"qubits 2\nmeasure x0",             // bad operand
-		"qubits 2\nfeedback q0 {",          // unterminated block
-		"qubits 2\nrx(zz) q0",              // bad angle literal
-		"qubits 2\nfeedback q0 {\noops\n}", // bad branch line
-	}
-	for _, src := range cases {
+	for _, src := range badQASM {
 		if _, err := ParseQASM(src); err == nil {
 			t.Errorf("ParseQASM accepted %q", src)
 		}
 	}
+}
+
+// FuzzQASMRoundTrip feeds arbitrary text to ParseQASM. The parser must
+// never panic, and whatever it accepts must serialize to text that parses
+// again and serializes to the same bytes.
+func FuzzQASMRoundTrip(f *testing.F) {
+	f.Add(WriteQASM(sampleCircuit()))
+	for _, src := range badQASM {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := ParseQASM(src)
+		if err != nil {
+			return
+		}
+		text := WriteQASM(c)
+		back, err := ParseQASM(text)
+		if err != nil {
+			t.Fatalf("WriteQASM output does not parse: %v\n%s", err, text)
+		}
+		if again := WriteQASM(back); again != text {
+			t.Fatalf("second round trip changed the text:\n%s\nvs\n%s", text, again)
+		}
+	})
 }
 
 func TestParseQASMSkipsCommentsAndBlanks(t *testing.T) {

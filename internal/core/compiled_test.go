@@ -1,21 +1,55 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"artery/internal/stats"
 	"artery/internal/workload"
 )
 
+// walkMatchesRun runs shots of wl on a fresh engine from mk, then walks
+// every shot again with runShotWalk on a second fresh engine: serially, in
+// shot order, one stream of rng.SplitN(shots) per shot, exactly the
+// streams Run derives. It fails on the first walked ShotResult that
+// differs from the one Run passed to OnShot, and returns Run's result.
+// %#v prints every field, every float in its shortest round-trip form and
+// NaN as NaN, so equal strings mean equal bits.
+func walkMatchesRun(t *testing.T, mk func() *Engine, wl *workload.Workload, shots int, seed uint64) RunResult {
+	t.Helper()
+	e := mk()
+	var merged []string
+	e.OnShot = func(_ int, sr ShotResult) { merged = append(merged, fmt.Sprintf("%#v", sr)) }
+	res := e.Run(wl, shots, stats.NewRNG(seed))
+	if len(merged) != shots {
+		t.Fatalf("run merged %d of %d shots", len(merged), shots)
+	}
+
+	w := mk()
+	plan := w.planFor(wl.Circuit)
+	sk := w.simKindFor(plan, wl.Circuit)
+	if sk == simTableau {
+		t.Fatal("the walker has no tableau twin")
+	}
+	for i, r := range stats.NewRNG(seed).SplitN(shots) {
+		walked := fmt.Sprintf("%#v", w.runShotWalk(wl, plan.analyses, sk == simState, r, nil, nil))
+		if walked != merged[i] {
+			t.Fatalf("shot %d diverged from the instruction walk:\nrun  %s\nwalk %s", i, merged[i], walked)
+		}
+	}
+	return res
+}
+
 // TestCompiledMatchesInterpreted is the differential guarantee behind the
 // compiled-execution layer: for every execution mode of Engine.Run
 // (shot-safe fan-out with and without state simulation, the two-phase
-// synth/feedback pipeline, and the serial simulated fallback), flipping
-// Engine.Interpreted must not change a single bit of the RunResult — same
-// latencies, same stage tables, same fidelities — at any worker count,
-// across seeds. The compiled path is the default everywhere else in the
-// suite, so the seed-1 golden outputs pin it too; this test pins it to
-// the instruction-walk reference semantics directly.
+// synth/feedback pipeline, and the serial simulated fallback), every
+// merged shot must equal the instruction walk of the same shot stream bit
+// for bit — same latencies, same outcomes and stage partitions, same
+// fidelities — at any worker count, across seeds. The compiled path is the
+// default everywhere else in the suite, so the seed-1 golden outputs pin
+// it too; this test pins it to the instruction-walk reference semantics
+// directly.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	modes := []struct {
 		name     string
@@ -28,7 +62,8 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		{"qubic-qrw-sim", qubicEngine, true, false},
 		{"qubic-qrw-nosim", qubicEngine, false, false},
 		// Mode B: sequential controller, no simulation — the two-phase
-		// pipeline (pooled pulses + one-pass classify on the worker side).
+		// pipeline (readout records captured on the worker side, the
+		// controller on the merge path).
 		{"artery-qrw-nosim", arteryEngine, false, false},
 		// Mode C: sequential controller + state sim, serial fallback, with
 		// dynamical decoupling on so the idle-noise draw order is covered.
@@ -39,23 +74,15 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for seed := uint64(1); seed <= 2; seed++ {
-					compiled := m.make()
-					compiled.SimulateState = m.simulate
-					compiled.EnableDD = m.dd
-					compiled.Workers = workers
-
-					interp := m.make()
-					interp.SimulateState = m.simulate
-					interp.EnableDD = m.dd
-					interp.Workers = workers
-					interp.Interpreted = true
-
-					cr := compiled.Run(wl, 40, stats.NewRNG(seed))
-					ir := interp.Run(wl, 40, stats.NewRNG(seed))
-					if !runResultsEqual(cr, ir) {
-						t.Fatalf("workers=%d seed=%d: compiled diverged from interpreted:\n%+v\nvs\n%+v",
-							workers, seed, cr, ir)
+					mk := func() *Engine {
+						e := m.make()
+						e.SimulateState = m.simulate
+						e.EnableDD = m.dd
+						e.Workers = workers
+						return e
 					}
+					t.Logf("workers=%d seed=%d", workers, seed)
+					walkMatchesRun(t, mk, wl, 40, seed)
 				}
 			}
 		})
@@ -71,21 +98,12 @@ func TestCompiledMatchesInterpretedOtherWorkloads(t *testing.T) {
 	for _, wl := range wls {
 		t.Run(wl.Name, func(t *testing.T) {
 			for _, mk := range []func() *Engine{qubicEngine, arteryEngine} {
-				compiled := mk()
-				compiled.SimulateState = true
-				compiled.Workers = 2
-
-				interp := mk()
-				interp.SimulateState = true
-				interp.Workers = 2
-				interp.Interpreted = true
-
-				cr := compiled.Run(wl, 30, stats.NewRNG(7))
-				ir := interp.Run(wl, 30, stats.NewRNG(7))
-				if !runResultsEqual(cr, ir) {
-					t.Fatalf("%s/%s: compiled diverged from interpreted:\n%+v\nvs\n%+v",
-						wl.Name, cr.Controller, cr, ir)
-				}
+				walkMatchesRun(t, func() *Engine {
+					e := mk()
+					e.SimulateState = true
+					e.Workers = 2
+					return e
+				}, wl, 30, 7)
 			}
 		})
 	}
@@ -98,19 +116,11 @@ func TestCompiledMatchesInterpretedOtherWorkloads(t *testing.T) {
 // priors — QRW commits predictions that are wrong often enough that the
 // recovery tape replays every few shots.
 func TestCompiledMispredictRecoveryMatches(t *testing.T) {
-	wl := workload.QRW(5)
-	compiled := arteryEngine()
-	compiled.SimulateState = true
-
-	interp := arteryEngine()
-	interp.SimulateState = true
-	interp.Interpreted = true
-
-	cr := compiled.Run(wl, 60, stats.NewRNG(3))
-	ir := interp.Run(wl, 60, stats.NewRNG(3))
-	if !runResultsEqual(cr, ir) {
-		t.Fatalf("recovery path: compiled diverged from interpreted:\n%+v\nvs\n%+v", cr, ir)
-	}
+	cr := walkMatchesRun(t, func() *Engine {
+		e := arteryEngine()
+		e.SimulateState = true
+		return e
+	}, workload.QRW(5), 60, 3)
 	// The run must actually have exercised recovery for this test to mean
 	// anything: committed-but-wrong outcomes exist iff accuracy < 1 with a
 	// positive commit rate.

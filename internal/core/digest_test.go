@@ -16,8 +16,8 @@ import (
 
 // engineDigests pins the engine's output across commits. Every other
 // determinism suite compares two configurations of the same build
-// (workers, backends, compiled vs interpreted); this one compares a build
-// with the bytes an earlier build produced. A refactor of the shot
+// (workers, backends, compiled tape vs instruction walk); this one
+// compares a build with the bytes an earlier build produced. A refactor of the shot
 // executors must leave every digest unchanged. A deliberate change of the
 // physics draws (a new readout synthesis model, say) changes them all
 // once, and the new values are recorded here in the same change.
@@ -31,10 +31,8 @@ var engineDigests = map[string]string{
 	"artery-pipeline-range":             "b9132ee94a770fc3d0fbec6f23d0a8fb493d72139fb08db959d11fe757e367b7",
 	"artery-serial-sim":                 "af0b95e241f48100d88553821a302f7c3c0717538b318164e7a47d0130dbd5b6",
 	"artery-serial-sim/faults":          "29492b17d6bf894e28a9067346884087e2829816f814258afd78ecc2cbbf6e0d",
-	"artery-interpreted-sim":            "af0b95e241f48100d88553821a302f7c3c0717538b318164e7a47d0130dbd5b6",
-	"artery-interpreted-sim/faults":     "29492b17d6bf894e28a9067346884087e2829816f814258afd78ecc2cbbf6e0d",
-	"artery-interpreted-nosim":          "9eff3f3d95df1a89c07f9a6a970fc15053ba8d16ce84a3ba55214d2b3b61b20d",
-	"artery-interpreted-nosim/faults":   "7e03564957209f35c38efb3a37df6c53d7bfe690cd99fe20598b6476e8859d77",
+	"artery-pipeline-qrw3":              "9eff3f3d95df1a89c07f9a6a970fc15053ba8d16ce84a3ba55214d2b3b61b20d",
+	"artery-pipeline-qrw3/faults":       "7e03564957209f35c38efb3a37df6c53d7bfe690cd99fe20598b6476e8859d77",
 	"artery-surface3-stabilizer":        "d62c0d1c586b8fdceac7be35e1fd880cbdf001be70b35f0ae1c07253120bdeb1",
 	"artery-surface3-stabilizer/faults": "a3057c26f65bba92b318eba5d6833b3ec61607ce07cc5f2ffa97f64a69084890",
 }
@@ -66,9 +64,9 @@ func digestRun(t *testing.T, e *Engine, wl *workload.Workload, offset, shots int
 
 // TestEngineOutputDigests runs fixed seeds through every shot executor —
 // the shot-safe fan-out with state simulation on and off, ARTERY's
-// latency-only pipeline (full run and a range run with offset > 0), its
-// serial state-vector path, the interpreted circuit walk, and the
-// stabilizer backend on a distance-3 surface code — fault-free and under
+// latency-only pipeline (full runs on QRW-5 and QRW-3 and a range run with
+// offset > 0), its serial state-vector path, and the stabilizer backend on
+// a distance-3 surface code — fault-free and under
 // fault.Scaled(0.3) (range runs reject faults), and compares each
 // output digest with the recorded one.
 func TestEngineOutputDigests(t *testing.T) {
@@ -88,14 +86,6 @@ func TestEngineOutputDigests(t *testing.T) {
 			return e
 		}
 	}
-	interpreted := func(sim bool) func() *Engine {
-		return func() *Engine {
-			e := arteryEngine()
-			e.SimulateState = sim
-			e.Interpreted = true
-			return e
-		}
-	}
 	stabilizerArtery := func() *Engine {
 		e := arteryEngine()
 		e.Noise = cliffordSafeNoise()
@@ -108,8 +98,7 @@ func TestEngineOutputDigests(t *testing.T) {
 		{name: "artery-pipeline", mk: withSim(arteryEngine, false), wl: workload.QRW(5), shots: 60},
 		{name: "artery-pipeline-range", mk: withSim(arteryEngine, false), wl: workload.QRW(5), offset: 25, shots: 30, noFaults: true},
 		{name: "artery-serial-sim", mk: withSim(arteryEngine, true), wl: qrw, shots: 40},
-		{name: "artery-interpreted-sim", mk: interpreted(true), wl: qrw, shots: 40},
-		{name: "artery-interpreted-nosim", mk: interpreted(false), wl: qrw, shots: 40},
+		{name: "artery-pipeline-qrw3", mk: withSim(arteryEngine, false), wl: qrw, shots: 40},
 		{name: "artery-surface3-stabilizer", mk: stabilizerArtery, wl: workload.SurfaceMemory(3), shots: 12},
 	}
 	checked := 0

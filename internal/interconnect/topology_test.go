@@ -1,8 +1,11 @@
 package interconnect
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"artery/internal/trace"
 )
 
 func TestPaperTopologyShape(t *testing.T) {
@@ -172,4 +175,41 @@ func TestRetryPenaltyNs(t *testing.T) {
 		}
 		prev = p
 	}
+}
+
+// TestRecordHopsSumToLatency checks the trace view of routing on every
+// qubit pair: one StageHop annotation per segment, numbered in order,
+// tagged with the route level, contiguous from 0, and summing to
+// Latency(src, dst).
+func TestRecordHopsSumToLatency(t *testing.T) {
+	top := NewTopology(24, 6, 2) // three levels, with a partly filled backplane
+	wantSegments := map[Level]int{LevelOnChip: 1, LevelBackplane: 2, LevelInterBackplane: 4}
+	rec := trace.NewRecorder(0)
+	for src := 0; src < top.NumQubits; src++ {
+		for dst := 0; dst < top.NumQubits; dst++ {
+			rec.Reset()
+			span := rec.Shot(src)
+			top.RecordHops(span, src, dst)
+			rec.Commit(span)
+			evs := rec.Events()
+			level := top.RouteLevel(src, dst)
+			if len(evs) != wantSegments[level] {
+				t.Fatalf("%d->%d (%v): %d hop events, want %d", src, dst, level, len(evs), wantSegments[level])
+			}
+			at := 0.0
+			for i, e := range evs {
+				if e.Stage != trace.StageHop || e.Stage.Additive() {
+					t.Fatalf("%d->%d hop %d: stage %v, want a %v annotation", src, dst, i, e.Stage, trace.StageHop)
+				}
+				if e.StartNs != at || e.Value != float64(i) || int(e.Outcome) != int(level) {
+					t.Fatalf("%d->%d hop %d: %+v (want start %v, index %d, level %d)", src, dst, i, e, at, i, level)
+				}
+				at = e.EndNs
+			}
+			if want := top.Latency(src, dst); math.Abs(at-want) > 1e-9 {
+				t.Fatalf("%d->%d: hops end at %v, Latency = %v", src, dst, at, want)
+			}
+		}
+	}
+	top.RecordHops(nil, 0, 23) // tracing off: a no-op
 }

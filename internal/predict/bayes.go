@@ -3,11 +3,6 @@
 // feedback site with a real-time trajectory classification of the partial
 // readout pulse through a Bayesian model, and commits a branch as soon as
 // the posterior crosses a confidence threshold.
-//
-// Classical CPU predictors (always-taken, two-bit saturating counter,
-// gshare) are included as baselines: they fail on quantum feedback because
-// superposition makes consecutive branch outcomes independent — exactly the
-// motivation the paper gives for a new design.
 package predict
 
 import (
@@ -160,10 +155,6 @@ func (p *Predictor) SeedHistory(ones, zeros float64) {
 
 // PHistory1 returns the current historical probability of branch 1.
 func (p *Predictor) PHistory1() float64 { return p.history.P() }
-
-// Observe updates the historical distribution with a shot's true outcome.
-// The paper performs this after each prediction at zero latency cost.
-func (p *Predictor) Observe(outcome int) { p.history.Observe(outcome == 1) }
 
 // Predict runs the iterative analysis over one feedback site's readout
 // record and returns the decision. pHist is the site's historical

@@ -7,6 +7,7 @@ import (
 
 	"artery/internal/readout"
 	"artery/internal/stats"
+	"artery/internal/trace"
 )
 
 func TestBayesCombineWorkedExample(t *testing.T) {
@@ -227,17 +228,6 @@ func TestCombinedFasterThanTrajectoryOnly(t *testing.T) {
 	}
 }
 
-func TestObserveShiftsHistory(t *testing.T) {
-	p := New(DefaultConfig(), sharedChannel)
-	before := p.PHistory1()
-	for i := 0; i < 20; i++ {
-		p.Observe(1)
-	}
-	if p.PHistory1() <= before {
-		t.Fatal("Observe(1) did not raise P_history_1")
-	}
-}
-
 func TestTraceMonotoneTime(t *testing.T) {
 	p := New(DefaultConfig(), sharedChannel)
 	d := p.Predict(sharedChannel.Read(1, stats.NewRNG(11), nil, nil, nil), p.PHistory1(), nil)
@@ -260,79 +250,66 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	New(Config{Theta0: 0.2, Theta1: 0.2}, sharedChannel)
 }
 
-func TestAlwaysTaken(t *testing.T) {
-	acc := EvaluateClassical(AlwaysTaken{}, []int{1, 1, 0, 1})
-	if acc != 0.75 {
-		t.Fatalf("accuracy %v, want 0.75", acc)
+// TestRecordWindowsEmitsOneEventPerWindow checks the Figure 15a trace
+// export: one StageWindow annotation per trace point, contiguous in time
+// from 0, carrying the posterior and its branch lean.
+func TestRecordWindowsEmitsOneEventPerWindow(t *testing.T) {
+	d := Decision{Trace: []PredictionPoint{
+		{Windows: 1, TimeNs: 100, PPredict: 0.3},
+		{Windows: 2, TimeNs: 200, PPredict: 0.5},
+		{Windows: 3, TimeNs: 300, PPredict: 0.95},
+	}}
+	d.RecordWindows(nil) // tracing off: a no-op
+	rec := trace.NewRecorder(0)
+	span := rec.Shot(4)
+	d.RecordWindows(span)
+	rec.Commit(span)
+	evs := rec.Events()
+	if len(evs) != len(d.Trace) {
+		t.Fatalf("%d events, want %d", len(evs), len(d.Trace))
+	}
+	wantLean := []int8{0, 1, 1}
+	prev := 0.0
+	for i, e := range evs {
+		pt := d.Trace[i]
+		if e.Stage != trace.StageWindow || e.Shot != 4 {
+			t.Fatalf("event %d: stage %v shot %d, want %v shot 4", i, e.Stage, e.Shot, trace.StageWindow)
+		}
+		if e.StartNs != prev || e.EndNs != pt.TimeNs {
+			t.Fatalf("event %d spans [%v, %v], want [%v, %v]", i, e.StartNs, e.EndNs, prev, pt.TimeNs)
+		}
+		if e.Value != pt.PPredict || e.Outcome != wantLean[i] {
+			t.Fatalf("event %d: value %v lean %d, want %v lean %d", i, e.Value, e.Outcome, pt.PPredict, wantLean[i])
+		}
+		prev = pt.TimeNs
+	}
+
+	// A real decision's windows end where the branch became available.
+	p := New(DefaultConfig(), sharedChannel)
+	live := p.Predict(sharedChannel.Read(1, stats.NewRNG(12), nil, nil, nil), 0.5, nil)
+	rec.Reset()
+	span = rec.Shot(0)
+	live.RecordWindows(span)
+	rec.Commit(span)
+	evs = rec.Events()
+	if len(evs) != len(live.Trace) || len(evs) == 0 {
+		t.Fatalf("%d events for a %d-window trace", len(evs), len(live.Trace))
+	}
+	if live.Committed && evs[len(evs)-1].EndNs != live.TimeNs {
+		t.Fatalf("last window ends at %v, decision at %v", evs[len(evs)-1].EndNs, live.TimeNs)
 	}
 }
 
-func TestTwoBitSaturation(t *testing.T) {
-	p := &TwoBit{}
-	if p.Predict() != 0 {
-		t.Fatal("initial prediction should be 0")
-	}
-	for i := 0; i < 10; i++ {
-		p.Update(1)
-	}
-	if p.Predict() != 1 {
-		t.Fatal("did not learn 1s")
-	}
-	// One 0 must not flip a saturated counter.
-	p.Update(0)
-	if p.Predict() != 1 {
-		t.Fatal("saturated counter flipped on a single miss")
-	}
-	p.Update(0)
-	p.Update(0)
-	if p.Predict() != 0 {
-		t.Fatal("did not unlearn after repeated 0s")
-	}
-}
-
-func TestGShareLearnsAlternation(t *testing.T) {
-	// Deterministic alternating pattern: gshare learns it (near) perfectly —
-	// that is its design point.
-	g := NewGShare(4)
-	outcomes := make([]int, 400)
-	for i := range outcomes {
-		outcomes[i] = i % 2
-	}
-	acc := EvaluateClassical(g, outcomes)
-	if acc < 0.9 {
-		t.Fatalf("gshare on deterministic alternation: %v", acc)
-	}
-}
-
-func TestClassicalPredictorsFailOnQuantumRandomness(t *testing.T) {
-	// On iid 50/50 outcomes every classical predictor sits at ~50% — the
-	// paper's motivation for a quantum-specific design.
-	rng := stats.NewRNG(12)
-	outcomes := make([]int, 4000)
-	for i := range outcomes {
-		if rng.Bool(0.5) {
-			outcomes[i] = 1
+func TestModeStringAndReadoutDuration(t *testing.T) {
+	for m, want := range map[Mode]string{
+		ModeCombined: "combined", ModeHistory: "history-only", ModeTrajectory: "readout-only", Mode(7): "mode(7)",
+	} {
+		if got := m.String(); got != want {
+			t.Errorf("Mode(%d).String() = %q, want %q", int(m), got, want)
 		}
 	}
-	for _, p := range []Classical{AlwaysTaken{}, &TwoBit{}, NewGShare(6)} {
-		acc := EvaluateClassical(p, outcomes)
-		if math.Abs(acc-0.5) > 0.05 {
-			t.Fatalf("%s achieved %v on iid coin flips", p.Name(), acc)
-		}
-	}
-}
-
-func TestGSharePanicsOnBadHistory(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad history bits accepted")
-		}
-	}()
-	NewGShare(0)
-}
-
-func TestEvaluateClassicalEmpty(t *testing.T) {
-	if EvaluateClassical(AlwaysTaken{}, nil) != 0 {
-		t.Fatal("empty evaluation should be 0")
+	p := New(DefaultConfig(), sharedChannel)
+	if got := p.ReadoutDurationNs(); got != sharedChannel.Cal.DurationNs || got <= 0 {
+		t.Fatalf("ReadoutDurationNs = %v, channel duration %v", got, sharedChannel.Cal.DurationNs)
 	}
 }

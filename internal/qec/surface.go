@@ -143,15 +143,3 @@ func (c *Code) syndromeOf(err map[int]bool, kind StabKind) []int {
 	}
 	return out
 }
-
-// CommutesWithLogicals reports whether an X-error pattern flips the logical
-// Z measurement (odd overlap with LogicalZ support).
-func (c *Code) FlipsLogicalZ(xerr map[int]bool) bool {
-	parity := 0
-	for _, q := range c.LogicalZ {
-		if xerr[q] {
-			parity ^= 1
-		}
-	}
-	return parity == 1
-}

@@ -77,8 +77,8 @@ type carrierKey struct {
 }
 
 // carrierCache holds clean-carrier templates across all calibrations.
-// Calibration structs are copied by value throughout the repo (mux groups,
-// experiment sweeps), so the cache is a package-level map keyed by the
+// Calibration structs are copied by value throughout the repo (experiment
+// sweeps, for one), so the cache is a package-level map keyed by the
 // carrier parameters rather than a field that a copy could go stale on or
 // a lock a `c := *base` copy would trip vet over. Reads take an RLock — a
 // map lookup against a 2000-sample synthesis loop — and the size cap makes

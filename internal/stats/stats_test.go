@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -90,6 +91,43 @@ func TestExpMean(t *testing.T) {
 	}
 	if m := sum / n; math.Abs(m-3.0) > 0.05 {
 		t.Fatalf("exp mean = %v, want ~3", m)
+	}
+}
+
+func TestExpPanicsOnNonPositiveMean(t *testing.T) {
+	for _, mean := range []float64{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Exp(%v) did not panic", mean)
+				}
+			}()
+			NewRNG(1).Exp(mean)
+		}()
+	}
+}
+
+// TestRNGBoolDrawContract pins Bool to exactly one Float64 draw compared
+// against p: the quantum backends' determinism contract counts draws, so
+// Bool(0) and Bool(1) must still consume one.
+func TestRNGBoolDrawContract(t *testing.T) {
+	a, b := NewRNG(23), NewRNG(23)
+	for i, p := range []float64{0, 1, 0.3, 0.5, 0.999} {
+		got := a.Bool(p)
+		if want := b.Float64() < p; got != want {
+			t.Fatalf("call %d: Bool(%v) = %v, want %v", i, p, got, want)
+		}
+	}
+	r := NewRNG(29)
+	const n = 100000
+	hits := 0
+	for i := 0; i < n; i++ {
+		if r.Bool(0.3) {
+			hits++
+		}
+	}
+	if f := float64(hits) / n; math.Abs(f-0.3) > 0.01 {
+		t.Fatalf("Bool(0.3) rate = %v, want ~0.3", f)
 	}
 }
 
@@ -192,6 +230,9 @@ func TestMeanVariance(t *testing.T) {
 	if v := Variance(xs); math.Abs(v-32.0/7.0) > 1e-12 {
 		t.Fatalf("Variance = %v, want %v", v, 32.0/7.0)
 	}
+	if sd := StdDev(xs); math.Abs(sd-math.Sqrt(32.0/7.0)) > 1e-12 {
+		t.Fatalf("StdDev = %v, want %v", sd, math.Sqrt(32.0/7.0))
+	}
 }
 
 func TestMeanEmpty(t *testing.T) {
@@ -200,6 +241,9 @@ func TestMeanEmpty(t *testing.T) {
 	}
 	if Variance([]float64{1}) != 0 {
 		t.Fatal("Variance of single sample != 0")
+	}
+	if StdDev([]float64{1}) != 0 {
+		t.Fatal("StdDev of single sample != 0")
 	}
 }
 
@@ -283,6 +327,26 @@ func TestHistogram(t *testing.T) {
 	}
 	if c := h.BinCenter(0); math.Abs(c-0.05) > 1e-12 {
 		t.Fatalf("BinCenter(0) = %v", c)
+	}
+	lines := strings.Split(h.String(), "\n")
+	if len(lines) != 11 || lines[0] != "  0.0500 3" || lines[9] != "  0.9500 2" || lines[10] != "" {
+		t.Fatalf("String() = %q", h.String())
+	}
+}
+
+func TestNewHistogramPanics(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi float64
+		n      int
+	}{{0, 1, 0}, {0, 1, -3}, {1, 1, 4}, {2, 1, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewHistogram(%v, %v, %d) did not panic", c.lo, c.hi, c.n)
+				}
+			}()
+			NewHistogram(c.lo, c.hi, c.n)
+		}()
 	}
 }
 
