@@ -30,6 +30,9 @@ fmt-check:
 	files="$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$gofiles)" || exit 1; \
 	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
+# The two host-timing gates, trace-overhead and bench-regress, compare
+# throughput with snapshots taken on another host, so they run last: a
+# slower host fails them only after every other step has reported.
 ci: fmt-check tier1
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
@@ -37,12 +40,12 @@ ci: fmt-check tier1
 	$(MAKE) fuzz-smoke
 	$(MAKE) $(COVER_TARGETS)
 	$(MAKE) e2e-check
-	$(MAKE) trace-overhead
-	$(MAKE) bench-regress
 	$(MAKE) serve-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) crash-smoke
 	$(MAKE) chaos-smoke
+	$(MAKE) trace-overhead
+	$(MAKE) bench-regress
 
 # Short fuzzing pass over the pulse codecs, the compiled-vs-interpreted
 # circuit differential, the QASM parse/serialize round trip and the NDJSON

@@ -372,3 +372,35 @@ func TestAngleEq(t *testing.T) {
 		t.Fatal("0 == π unexpectedly")
 	}
 }
+
+// Depth returns the ASAP makespan of the circuit in ns.
+func (d *DAG) Depth() float64 {
+	m := 0.0
+	for _, e := range d.End {
+		if e > m {
+			m = e
+		}
+	}
+	return m
+}
+
+// RecoveryProgram returns the full correction sequence executed after a
+// misprediction at the analyzed site: the inverse of the pre-executed
+// (predicted) branch followed by the correct branch.
+func (a *SiteAnalysis) RecoveryProgram(fb *Feedback, predicted int) []Instruction {
+	if a.Case == Case4Irreversible {
+		panic("circuit: RecoveryProgram for irreversible site")
+	}
+	var undo, correct []Instruction
+	if predicted == 1 {
+		undo = a.RecoveryOnOne
+		correct = fb.OnZero
+	} else {
+		undo = a.RecoveryOnZero
+		correct = fb.OnOne
+	}
+	out := make([]Instruction, 0, len(undo)+len(correct))
+	out = append(out, undo...)
+	out = append(out, correct...)
+	return out
+}

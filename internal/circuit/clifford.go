@@ -25,11 +25,13 @@ var (
 	// outside the Clifford group.
 	ErrNonClifford = errors.New("circuit: tape contains a non-Clifford gate")
 	// ErrIrreversibleBody marks a feedback branch body containing
-	// measure/reset instructions. Such bodies have no precompiled
-	// inverse; misprediction recovery would fall back to InverseOf,
-	// which is only defined for the state-vector path — so non-state
-	// backends must reject the circuit up front instead of panicking
-	// mid-shot.
+	// measure/reset instructions. Such a body has no precompiled inverse
+	// tape, so a mispredicted pre-execution of it could not be undone.
+	// The engine relies on the case-4 rule (an irreversible site never
+	// commits a prediction) and panics should such a site ever commit;
+	// the stabilizer backend rejects these circuits up front, so an
+	// explicit tableau request is checked against the tape itself
+	// rather than against the controller's behavior.
 	ErrIrreversibleBody = errors.New("circuit: feedback body is irreversible")
 )
 
@@ -191,9 +193,9 @@ func analyzeClifford(t *Tape) {
 
 // StabilizerCompat reports whether the tape can execute on the
 // stabilizer backend: every gate (including feedback branch bodies) must
-// be Clifford, and every branch body must be reversible so misprediction
-// recovery never reaches the state-vector-only InverseOf fallback. The
-// error wraps ErrNonClifford or ErrIrreversibleBody.
+// be Clifford, and every branch body must be reversible, with an inverse
+// tape for misprediction recovery. The error wraps ErrNonClifford or
+// ErrIrreversibleBody.
 func (t *Tape) StabilizerCompat() error {
 	if !t.Clifford {
 		g := t.NonClifford

@@ -172,8 +172,9 @@ func allGates(body []Instruction) bool {
 }
 
 // compileBody compiles a feedback branch body. Non-gate instructions are
-// dropped: the engine skips them when executing bodies (see applyBody in
-// internal/core), so the tape encodes exactly what executes.
+// dropped: the engine executes only a body's gates, as the instruction
+// walk in internal/core's tests does, so the tape encodes exactly what
+// executes.
 func compileBody(body []Instruction, numQubits int) *Tape {
 	b := newTapeBuilder(numQubits)
 	for _, in := range body {

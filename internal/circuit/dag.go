@@ -51,14 +51,3 @@ func BuildDAG(c *Circuit) *DAG {
 	}
 	return d
 }
-
-// Depth returns the ASAP makespan of the circuit in ns.
-func (d *DAG) Depth() float64 {
-	m := 0.0
-	for _, e := range d.End {
-		if e > m {
-			m = e
-		}
-	}
-	return m
-}

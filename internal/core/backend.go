@@ -3,15 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"artery/internal/circuit"
-	"artery/internal/controller"
-	"artery/internal/fault"
 	"artery/internal/quantum"
 	"artery/internal/stabilizer"
-	"artery/internal/stats"
-	"artery/internal/trace"
 	"artery/internal/workload"
 )
 
@@ -123,153 +118,4 @@ func (e *Engine) tableauPool(n int) *stabilizer.Pool {
 		e.tabPools[n] = p
 	}
 	return p
-}
-
-// runShotTableau executes one shot on a pooled stabilizer backend.
-func (e *Engine) runShotTableau(wl *workload.Workload, plan *circuitPlan, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
-	pool := e.tableauPool(wl.Circuit.NumQubits)
-	b := pool.Get()
-	defer pool.Put(b)
-	return e.runShotBackend(b, wl, plan, rng, sess, span)
-}
-
-// runShotBackend executes one shot against any quantum.Backend,
-// mirroring runShotCompiled's draw sequence operation for operation so
-// the physics stream is bit-identical to the state-vector path on the
-// same per-shot RNG. Two deliberate asymmetries:
-//
-//   - There is no ideal reference register (a tableau cannot report
-//     fidelity), so Fidelity stays NaN. The state path's ideal register
-//     consumes randomness in exactly one place — ideal.Reset draws one
-//     Measure uniform per TapeReset — so this path burns one
-//     rng.Float64() there to keep the streams aligned.
-//   - Idle decay channels are draw-free no-ops under the Clifford-safe
-//     noise this path requires, so only their depolarizing components
-//     (the *B noise helpers) execute.
-//
-// The caller guarantees plan.tape.StabilizerCompat() == nil and
-// e.Noise.CliffordSafe(); both are enforced by resolveBackend.
-func (e *Engine) runShotBackend(b quantum.Backend, wl *workload.Workload, plan *circuitPlan, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
-	c := wl.Circuit
-	tape := plan.tape
-
-	span.Span(trace.StagePayload, 0, wl.GatePayloadNs)
-
-	// Thermal initial excitation; one Bool draw per entry, as on the
-	// state path (which applies the same X to noisy and ideal).
-	for q, p := range wl.InitExciteP {
-		if rng.Bool(p) {
-			b.X(q)
-		}
-	}
-
-	sr := ShotResult{FeedbackLatencyNs: wl.GatePayloadNs, Fidelity: math.NaN()}
-	if tape.NumSites > 0 {
-		sr.Outcomes = make([]controller.Outcome, 0, tape.NumSites)
-	}
-	bits := e.siteBits(tape.NumSites)
-	// Clifford-safe noise has no quasi-static component: nil, zero draws
-	// (and the state path draws zero here too, keeping streams aligned).
-	e.Noise.SampleDetunings(c.NumQubits, rng)
-	for oi := range tape.Ops {
-		op := &tape.Ops[oi]
-		switch op.Kind {
-		case circuit.TapeFused1Q:
-			for gi := range op.Gates {
-				g := op.Gates[gi]
-				circuit.ApplyCliffordGate(b, g)
-				if g.Kind != circuit.RZ { // virtual Z is error-free
-					e.Noise.AfterGate1QB(b, op.Qubit, rng)
-				}
-			}
-		case circuit.TapeGate2Q:
-			circuit.ApplyCliffordGate(b, op.Gate)
-			e.Noise.AfterGate2QB(b, op.Gate.Qubits[0], op.Gate.Qubits[1], rng)
-		case circuit.TapeMeasure:
-			m := e.Noise.NoisyMeasureB(b, op.Qubit, rng)
-			if e.RecordMeasurements {
-				sr.Measurements = append(sr.Measurements, m)
-			}
-		case circuit.TapeReset:
-			m := b.Reset(op.Qubit, rng)
-			rng.Float64() // the state path's ideal-reference Reset draw
-			if e.RecordMeasurements {
-				sr.Measurements = append(sr.Measurements, m)
-			}
-		case circuit.TapeFeedback:
-			fb := op.FB
-			a := plan.analyses[op.Site]
-			prior := wl.SiteP1[op.Site]
-
-			// Physical qubit state at readout start.
-			m := b.Measure(fb.Qubit, rng)
-			if e.RecordMeasurements {
-				sr.Measurements = append(sr.Measurements, m)
-			}
-
-			span.SetSite(op.Site, fb.Qubit)
-			r := e.readSite(bits, op.Site, m, rng, sess, span)
-			out := e.Ctrl.Feedback(e.siteFor(a, op.Site, fb, prior), controller.Shot{Record: r, Faults: sess, Span: span})
-			sr.Outcomes = append(sr.Outcomes, out)
-			sr.FeedbackLatencyNs += out.LatencyNs
-
-			// Latency-dependent idling; the read qubit's plain idle is a
-			// draw-free no-op under Clifford-safe noise, the others' echo
-			// windows still cost two X pulses of gate error each.
-			for q := 0; q < c.NumQubits; q++ {
-				if q == fb.Qubit {
-					continue
-				}
-				e.Noise.ApplyIdleDetunedB(b, q, out.LatencyNs, e.EnableDD, rng)
-			}
-			// A wrongly pre-executed branch physically runs, is undone,
-			// and only then does the correct branch run.
-			if out.Committed && !out.Correct {
-				wrongTape, invTape := op.OnOne, op.InvOnOne
-				if out.Predicted == 0 {
-					wrongTape, invTape = op.OnZero, op.InvOnZero
-				}
-				e.applyTapeNoisyB(b, wrongTape, rng)
-				if invTape == nil {
-					// Unreachable: StabilizerCompat rejects irreversible
-					// bodies before a tableau run starts.
-					panic(circuit.ErrIrreversibleBody)
-				}
-				e.applyTapeNoisyB(b, invTape, rng)
-			}
-			// The hardware acts on its classification (truth), which may
-			// disagree with the physical state m on a readout error.
-			bt := op.OnOne
-			if r.Truth == 0 {
-				bt = op.OnZero
-			}
-			e.applyTapeNoisyB(b, bt, rng)
-		}
-	}
-	if sess != nil {
-		sr.Faults = sess.C
-	}
-	return sr
-}
-
-// applyTapeNoisyB replays a compiled branch-body tape on a backend, gate
-// by gate with the per-gate depolarizing draws interleaved exactly as in
-// applyTapeNoisy.
-func (e *Engine) applyTapeNoisyB(b quantum.Backend, t *circuit.Tape, rng *stats.RNG) {
-	for oi := range t.Ops {
-		op := &t.Ops[oi]
-		switch op.Kind {
-		case circuit.TapeFused1Q:
-			for gi := range op.Gates {
-				g := op.Gates[gi]
-				circuit.ApplyCliffordGate(b, g)
-				if g.Kind != circuit.RZ { // virtual Z is error-free
-					e.Noise.AfterGate1QB(b, op.Qubit, rng)
-				}
-			}
-		case circuit.TapeGate2Q:
-			circuit.ApplyCliffordGate(b, op.Gate)
-			e.Noise.AfterGate2QB(b, op.Gate.Qubits[0], op.Gate.Qubits[1], rng)
-		}
-	}
 }

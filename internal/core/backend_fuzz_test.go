@@ -79,6 +79,9 @@ func FuzzBackendVsStateVector(f *testing.F) {
 	f.Add([]byte{16, 0, 3, 1, 12, 0, 16, 1, 0, 0}, uint64(1))
 	f.Add([]byte{6, 0, 13, 1, 16, 2, 14, 0, 15, 1, 16, 2}, uint64(7))
 	f.Add([]byte{9, 3, 12, 4, 16, 0, 16, 1, 16, 2, 16, 3, 16, 4}, uint64(3))
+	// A reset, then noisy measurements whose assignment flips expose a
+	// register that skips the ideal reference's Reset draw.
+	f.Add([]byte("10000000000000000020"), uint64(2))
 	noise := cliffordSafeNoise()
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		const nq = 5

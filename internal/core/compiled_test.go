@@ -43,7 +43,7 @@ func walkMatchesRun(t *testing.T, mk func() *Engine, wl *workload.Workload, shot
 // TestCompiledMatchesInterpreted is the differential guarantee behind the
 // compiled-execution layer: for every execution mode of Engine.Run
 // (shot-safe fan-out with and without state simulation, the two-phase
-// synth/feedback pipeline, and the serial simulated fallback), every
+// synth/feedback pipeline, and serial simulated whole shots), every
 // merged shot must equal the instruction walk of the same shot stream bit
 // for bit — same latencies, same outcomes and stage partitions, same
 // fidelities — at any worker count, across seeds. The compiled path is the
@@ -57,15 +57,15 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		simulate bool
 		dd       bool
 	}{
-		// Mode A: shot-safe controller, whole shots fan out. QRW exercises
+		// Whole shots, shot-safe controller: shots fan out. QRW exercises
 		// fused single-qubit runs around feedback sites.
 		{"qubic-qrw-sim", qubicEngine, true, false},
 		{"qubic-qrw-nosim", qubicEngine, false, false},
-		// Mode B: sequential controller, no simulation — the two-phase
+		// Sequential controller, no simulation — the two-phase
 		// pipeline (readout records captured on the worker side, the
 		// controller on the merge path).
 		{"artery-qrw-nosim", arteryEngine, false, false},
-		// Mode C: sequential controller + state sim, serial fallback, with
+		// Whole shots, sequential controller + state sim: one worker, with
 		// dynamical decoupling on so the idle-noise draw order is covered.
 		{"artery-qrw-sim-dd", arteryEngine, true, true},
 	}

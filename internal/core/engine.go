@@ -298,19 +298,19 @@ func (e *Engine) metricSet() metricSet {
 // exactly shots draws), then picks an execution mode that never depends on
 // worker count:
 //
-//   - shot-safe controller (baselines): whole shots execute concurrently;
-//     each shot is a pure function of its own stream.
 //   - sequential controller without state simulation (ARTERY latency
 //     sweeps): workers run the per-shot physics — readout-pulse synthesis,
 //     classification, trajectory windowing — while every controller
 //     Feedback call stays on the in-order merge path, preserving the
 //     paper's shot-by-shot Bayesian learning exactly.
-//   - sequential controller with state simulation: the feedback decision's
-//     latency feeds the decoherence of the same shot, coupling the physics
-//     to the learned history, so shots run serially (still on per-shot
-//     streams).
+//   - otherwise whole shots: a shot-safe controller's (the baselines')
+//     shots execute concurrently, each a pure function of its own stream;
+//     a sequential controller with state simulation feeds each feedback
+//     decision's latency into the same shot's decoherence, coupling the
+//     physics to the learned history, so its shots run in order on one
+//     worker (still on per-shot streams).
 //
-// Shot results are merged in shot order in all three modes, so RunResult —
+// Shot results are merged in shot order in both modes, so RunResult —
 // including the floating-point aggregation order — is bit-identical for
 // any Workers setting. The same holds for the trace stream: shot spans are
 // recorded by whichever goroutine runs the shot but committed in shot
@@ -436,20 +436,8 @@ func (e *Engine) run(ctx context.Context, wl *workload.Workload, offset, shots i
 	}
 
 	workers := e.workerCount()
-	switch {
-	case e.ctrlShotSafe():
-		// Whole shots are independent: fan them out. A range run skips the
-		// warmup prefix entirely — the controller carries no cross-shot
-		// state, so shot offset+i is a pure function of its own stream.
-		forEachShot(shots, workers, canceled, func(i int) shotOut {
-			g := offset + i
-			span := e.Trace.Shot(g)
-			return shotOut{e.runShot(wl, plan, sk, shotRNGs[g], sessionOf(g), span), span}
-		}, func(_ int, so shotOut) {
-			merge(so.sr)
-			e.Trace.Commit(so.span)
-		})
-	case sk == simNone:
+	shotSafe := e.ctrlShotSafe()
+	if !shotSafe && sk == simNone {
 		// Two-phase pipeline: the per-shot physics is independent of the
 		// controller when no state is simulated, so workers capture the
 		// readout records while the sequential controller runs on the
@@ -476,22 +464,33 @@ func (e *Engine) run(ctx context.Context, wl *workload.Workload, offset, shots i
 			merge(sr)
 			e.Trace.Commit(so.span)
 		})
-	default:
-		// State simulation couples each shot's physics to the sequential
-		// controller's decisions: run serially, one stream per shot, with a
-		// range run's warmup prefix executed but discarded.
-		for g := 0; g < total; g++ {
-			if canceled(g) {
-				break
-			}
-			if g < offset {
-				e.runShot(wl, plan, sk, shotRNGs[g], sessionOf(g), nil)
-				continue
-			}
-			span := e.Trace.Shot(g)
-			merge(e.runShot(wl, plan, sk, shotRNGs[g], sessionOf(g), span))
-			e.Trace.Commit(span)
+	} else {
+		// Whole shots. A shot-safe controller carries no cross-shot state,
+		// so shots fan out and a range run skips the warmup prefix: shot
+		// offset+i is a pure function of its own stream. A sequential
+		// controller with a simulated register couples each shot's physics
+		// to the history learned from every earlier shot (a decision's
+		// latency feeds the same shot's decoherence), so its shots run in
+		// order on one worker from shot 0, and a range run's warmup prefix
+		// runs untraced and is discarded at merge.
+		first := offset
+		if !shotSafe {
+			first, workers = 0, 1
 		}
+		forEachShot(total-first, workers, canceled, func(i int) shotOut {
+			g := first + i
+			var span *trace.ShotSpan
+			if g >= offset {
+				span = e.Trace.Shot(g)
+			}
+			return shotOut{e.runShot(wl, plan, sk, shotRNGs[g], sessionOf(g), span), span}
+		}, func(i int, so shotOut) {
+			if first+i < offset {
+				return // warmup: controller state only
+			}
+			merge(so.sr)
+			e.Trace.Commit(so.span)
+		})
 	}
 	canceledRun := fold.Shots() < shots
 	if canceledRun {
@@ -529,28 +528,20 @@ func (e *Engine) RunShot(wl *workload.Workload, rng *stats.RNG) ShotResult {
 	return e.runShot(wl, plan, e.simKindFor(plan, wl.Circuit), rng, nil, nil)
 }
 
-// runShot executes one shot against a pre-computed circuit plan: the
-// stabilizer tableau replay for circuits on the tableau backend, the
-// compiled state-vector tape replay otherwise. Both are pure functions of
-// (wl, plan, rng, sess) plus the controller's state, so shot-safe
-// controllers may run them concurrently, one RNG stream (and fault
-// session, and trace span) per call.
-func (e *Engine) runShot(wl *workload.Workload, plan *circuitPlan, sk simKind, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
-	if sk == simTableau {
-		return e.runShotTableau(wl, plan, rng, sess, span)
-	}
-	return e.runShotCompiled(wl, plan, sk == simState, rng, sess, span)
-}
-
-// runShotCompiled executes one shot by replaying the circuit's compiled
-// op-tape: adjacent same-wire single-qubit gates arrive pre-fused with
-// their kernels precomputed, and branch bodies arrive precompiled
-// (inverses included). The noisy state still advances gate by gate, so
-// the per-gate noise draws interleave exactly as in a walk of the
+// runShot executes one shot by replaying the circuit's compiled op-tape
+// on the register sk selects: none (latency-only physics: each site's
+// state is drawn from its prior), a state vector with its noiseless ideal
+// reference, or a stabilizer tableau. The noisy register advances gate by
+// gate, so the per-gate noise draws interleave exactly as in a walk of the
 // instruction list (the differential tests replay every shot through such
-// a walk and require bit-identical results), but the noiseless ideal
-// reference evolves through fused kernel chains.
-func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simulate bool, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
+// a walk and require bit-identical results); only the ideal reference
+// evolves through fused kernel chains. Every register consumes the same
+// draws (the quantum.Backend contract), so a Clifford workload's shots are
+// bit-identical on either backend. A shot is a pure function of (wl, plan,
+// rng, sess) plus the controller's state, so shot-safe controllers may run
+// shots concurrently, one RNG stream (and fault session, and trace span)
+// per call.
+func (e *Engine) runShot(wl *workload.Workload, plan *circuitPlan, sk simKind, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
 	c := wl.Circuit
 	tape := plan.tape
 
@@ -558,32 +549,38 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 	// recorded before the first SetSite.
 	span.Span(trace.StagePayload, 0, wl.GatePayloadNs)
 
+	var b quantum.Backend // the noisy register; nil for latency-only shots
 	var noisy, ideal *quantum.State
-	idealAlive := true
-	if simulate {
+	switch sk {
+	case simState:
 		pool := e.statePool(c.NumQubits)
 		noisy = pool.Get()
 		ideal = pool.Get()
 		defer pool.Put(noisy)
 		defer pool.Put(ideal)
+		b = noisy
+	case simTableau:
+		pool := e.tableauPool(c.NumQubits)
+		t := pool.Get()
+		defer pool.Put(t)
+		b = t
+	}
+	idealAlive := ideal != nil
+	var detunings []float64
+	if b != nil {
 		// Thermal initial excitation (e.g. the population active reset
 		// exists to remove). The ideal reference starts identically: reset
 		// must clean it up, so fidelity is judged against the same start.
 		for q, p := range wl.InitExciteP {
 			if rng.Bool(p) {
-				noisy.X(q)
-				ideal.X(q)
+				b.X(q)
+				if ideal != nil {
+					ideal.X(q)
+				}
 			}
 		}
-	}
-
-	sr := ShotResult{FeedbackLatencyNs: wl.GatePayloadNs, Fidelity: math.NaN()}
-	if tape.NumSites > 0 {
-		sr.Outcomes = make([]controller.Outcome, 0, tape.NumSites)
-	}
-	bits := e.siteBits(tape.NumSites)
-	var detunings []float64
-	if simulate {
+		// Nil, drawing nothing, under the Clifford-safe noise a tableau
+		// requires.
 		detunings = e.Noise.SampleDetunings(c.NumQubits, rng)
 	}
 	detuningOf := func(q int) float64 {
@@ -592,36 +589,43 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 		}
 		return detunings[q]
 	}
+
+	sr := ShotResult{FeedbackLatencyNs: wl.GatePayloadNs, Fidelity: math.NaN()}
+	if tape.NumSites > 0 {
+		sr.Outcomes = make([]controller.Outcome, 0, tape.NumSites)
+	}
+	bits := e.siteBits(tape.NumSites)
 	for oi := range tape.Ops {
 		op := &tape.Ops[oi]
+		if b == nil && op.Kind != circuit.TapeFeedback {
+			continue
+		}
 		switch op.Kind {
 		case circuit.TapeFused1Q:
-			if simulate {
-				for gi := range op.Gates {
-					e.applyKernel1Q(noisy, op.Qubit, &op.Ks[gi], op.Gates[gi].Kind, rng)
-				}
+			e.applyNoisy(b, op, rng)
+			if ideal != nil {
 				ideal.ApplyKernelChain(op.Qubit, op.Ks)
 			}
 		case circuit.TapeGate2Q:
-			if simulate {
-				e.applyGate(noisy, op.Gate, rng)
+			e.applyNoisy(b, op, rng)
+			if ideal != nil {
 				op.Gate.Apply(ideal)
 			}
 		case circuit.TapeMeasure:
-			if simulate {
-				m := e.Noise.NoisyMeasure(noisy, op.Qubit, rng)
-				idealAlive = idealAlive && projectIdeal(ideal, op.Qubit, m)
-				if e.RecordMeasurements {
-					sr.Measurements = append(sr.Measurements, m)
-				}
+			m := e.Noise.NoisyMeasure(b, op.Qubit, rng)
+			idealAlive = idealAlive && projectIdeal(ideal, op.Qubit, m)
+			if e.RecordMeasurements {
+				sr.Measurements = append(sr.Measurements, m)
 			}
 		case circuit.TapeReset:
-			if simulate {
-				m := noisy.Reset(op.Qubit, rng)
+			m := b.Reset(op.Qubit, rng)
+			if ideal != nil {
 				ideal.Reset(op.Qubit, rng)
-				if e.RecordMeasurements {
-					sr.Measurements = append(sr.Measurements, m)
-				}
+			} else {
+				rng.Float64() // the ideal reference's Reset draw
+			}
+			if e.RecordMeasurements {
+				sr.Measurements = append(sr.Measurements, m)
 			}
 		case circuit.TapeFeedback:
 			fb := op.FB
@@ -630,13 +634,13 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 
 			// Physical qubit state at readout start.
 			var m int
-			if simulate {
-				m = noisy.Measure(fb.Qubit, rng)
+			if b != nil {
+				m = b.Measure(fb.Qubit, rng)
+				if e.RecordMeasurements {
+					sr.Measurements = append(sr.Measurements, m)
+				}
 			} else if rng.Bool(prior) {
 				m = 1
-			}
-			if simulate && e.RecordMeasurements {
-				sr.Measurements = append(sr.Measurements, m)
 			}
 
 			span.SetSite(op.Site, fb.Qubit)
@@ -644,66 +648,65 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 			out := e.Ctrl.Feedback(e.siteFor(a, op.Site, fb, prior), controller.Shot{Record: r, Faults: sess, Span: span})
 			sr.Outcomes = append(sr.Outcomes, out)
 			sr.FeedbackLatencyNs += out.LatencyNs
+			if b == nil {
+				continue
+			}
 
-			if simulate {
-				// Latency-dependent idling: branch qubits wait for the
-				// feedback decision; the read qubit is pinned for at least
-				// the readout pulse. Idle windows optionally run as X-echo
-				// (DD) sequences, refocusing quasi-static dephasing; the
-				// measured qubit holds a classical state during readout, so
-				// it takes no echo.
-				for q := 0; q < c.NumQubits; q++ {
-					dt := out.LatencyNs
-					if q == fb.Qubit {
-						if dt < e.Channel.Cal.DurationNs {
-							dt = e.Channel.Cal.DurationNs
-						}
-						e.Noise.ApplyIdle(noisy, q, dt, rng)
-						continue
+			// Latency-dependent idling: branch qubits wait for the
+			// feedback decision; the read qubit is pinned for at least
+			// the readout pulse. Idle windows optionally run as X-echo
+			// (DD) sequences, refocusing quasi-static dephasing; the
+			// measured qubit holds a classical state during readout, so
+			// it takes no echo.
+			for q := 0; q < c.NumQubits; q++ {
+				dt := out.LatencyNs
+				if q == fb.Qubit {
+					if dt < e.Channel.Cal.DurationNs {
+						dt = e.Channel.Cal.DurationNs
 					}
-					e.Noise.ApplyIdleDetuned(noisy, q, dt, detuningOf(q), e.EnableDD, rng)
+					e.Noise.ApplyIdle(b, q, dt, rng)
+					continue
 				}
-				// A wrongly pre-executed branch physically runs, is undone,
-				// and only then does the correct branch run: the extra gate
-				// churn costs real gate error.
-				if out.Committed && !out.Correct {
-					wrongTape, invTape := op.OnOne, op.InvOnOne
-					wrong := fb.OnOne
-					if out.Predicted == 0 {
-						wrongTape, invTape = op.OnZero, op.InvOnZero
-						wrong = fb.OnZero
-					}
-					e.applyTapeNoisy(noisy, wrongTape, rng)
-					if invTape != nil {
-						e.applyTapeNoisy(noisy, invTape, rng)
-					} else {
-						// The body has non-gate instructions, so it has no
-						// inverse tape, and InverseOf panics on it.
-						e.applyBody(noisy, circuit.InverseOf(wrong), rng)
-					}
+				e.Noise.ApplyIdleDetuned(b, q, dt, detuningOf(q), e.EnableDD, rng)
+			}
+			// A wrongly pre-executed branch physically runs, is undone,
+			// and only then does the correct branch run: the extra gate
+			// churn costs real gate error.
+			if out.Committed && !out.Correct {
+				wrong, undo := op.OnOne, op.InvOnOne
+				if out.Predicted == 0 {
+					wrong, undo = op.OnZero, op.InvOnZero
 				}
-				// The hardware acts on its classification (truth), which may
-				// disagree with the physical state m on a readout error.
-				bt := op.OnOne
-				if r.Truth == 0 {
-					bt = op.OnZero
+				if undo == nil {
+					// Only a case-4 body (one that measures or resets)
+					// has no inverse tape, and a case-4 site never
+					// commits a prediction.
+					panic(circuit.ErrIrreversibleBody)
 				}
-				e.applyTapeNoisy(noisy, bt, rng)
+				e.applyTape(b, wrong, rng)
+				e.applyTape(b, undo, rng)
+			}
+			// The hardware acts on its classification (truth), which may
+			// disagree with the physical state m on a readout error.
+			bt := op.OnOne
+			if r.Truth == 0 {
+				bt = op.OnZero
+			}
+			e.applyTape(b, bt, rng)
 
-				// Ideal reference: perfect hardware follows the physical
-				// outcome instantly and noiselessly — fused replay.
-				idealAlive = idealAlive && projectIdeal(ideal, fb.Qubit, m)
-				if idealAlive {
-					ib := op.OnOne
-					if m == 0 {
-						ib = op.OnZero
-					}
-					ib.Apply(ideal)
+			// Ideal reference: perfect hardware follows the physical
+			// outcome instantly and noiselessly — fused replay.
+			idealAlive = idealAlive && projectIdeal(ideal, fb.Qubit, m)
+			if idealAlive {
+				ib := op.OnOne
+				if m == 0 {
+					ib = op.OnZero
 				}
+				ib.Apply(ideal)
 			}
 		}
 	}
-	if simulate {
+	if ideal != nil {
 		if idealAlive {
 			sr.Fidelity = noisy.Fidelity(ideal)
 		} else {
@@ -716,30 +719,36 @@ func (e *Engine) runShotCompiled(wl *workload.Workload, plan *circuitPlan, simul
 	return sr
 }
 
-// applyKernel1Q applies one precompiled single-qubit kernel to the noisy
-// state with the gate's accompanying noise channel — the kernel twin of
-// applyGate for the tape replay, preserving the per-gate draw order.
-func (e *Engine) applyKernel1Q(s *quantum.State, q int, k *quantum.K1, kind circuit.GateKind, rng *stats.RNG) {
-	s.ApplyKernel(q, k)
-	if kind != circuit.RZ { // virtual Z is error-free
-		e.Noise.AfterGate1Q(s, q, rng)
+// applyNoisy applies one gate op of a tape to the noisy register, each
+// gate followed by its noise draws: through the precompiled kernels on a
+// state vector, through Clifford decompositions on a tableau.
+func (e *Engine) applyNoisy(b quantum.Backend, op *circuit.TapeOp, rng *stats.RNG) {
+	s, isState := b.(*quantum.State)
+	if op.Kind == circuit.TapeGate2Q {
+		if isState {
+			op.Gate.Apply(s)
+		} else {
+			circuit.ApplyCliffordGate(b, op.Gate)
+		}
+		e.Noise.AfterGate2Q(b, op.Gate.Qubits[0], op.Gate.Qubits[1], rng)
+		return
+	}
+	for gi := range op.Gates {
+		if isState {
+			s.ApplyKernel(op.Qubit, &op.Ks[gi])
+		} else {
+			circuit.ApplyCliffordGate(b, op.Gates[gi])
+		}
+		if op.Gates[gi].Kind != circuit.RZ { // virtual Z is error-free
+			e.Noise.AfterGate1Q(b, op.Qubit, rng)
+		}
 	}
 }
 
-// applyTapeNoisy replays a compiled branch-body tape on the noisy state,
-// gate by gate so the per-gate noise draws interleave exactly as in
-// applyBody (fusion only accelerates noiseless evolution).
-func (e *Engine) applyTapeNoisy(s *quantum.State, t *circuit.Tape, rng *stats.RNG) {
+// applyTape replays a compiled branch-body tape on the noisy register.
+func (e *Engine) applyTape(b quantum.Backend, t *circuit.Tape, rng *stats.RNG) {
 	for oi := range t.Ops {
-		op := &t.Ops[oi]
-		switch op.Kind {
-		case circuit.TapeFused1Q:
-			for gi := range op.Gates {
-				e.applyKernel1Q(s, op.Qubit, &op.Ks[gi], op.Gates[gi].Kind, rng)
-			}
-		case circuit.TapeGate2Q:
-			e.applyGate(s, op.Gate, rng)
-		}
+		e.applyNoisy(b, &t.Ops[oi], rng)
 	}
 }
 
@@ -824,25 +833,6 @@ func clampQubit(q int) int {
 	return q % topoQubits
 }
 
-// applyGate applies one gate with its accompanying noise channels.
-func (e *Engine) applyGate(s *quantum.State, g circuit.Gate, rng *stats.RNG) {
-	g.Apply(s)
-	if g.Kind.TwoQubit() {
-		e.Noise.AfterGate2Q(s, g.Qubits[0], g.Qubits[1], rng)
-	} else if g.Kind != circuit.RZ { // virtual Z is error-free
-		e.Noise.AfterGate1Q(s, g.Qubits[0], rng)
-	}
-}
-
-// applyBody applies a branch body with noise, skipping non-gate entries.
-func (e *Engine) applyBody(s *quantum.State, body []circuit.Instruction, rng *stats.RNG) {
-	for _, in := range body {
-		if in.Kind == circuit.OpGate {
-			e.applyGate(s, in.Gate, rng)
-		}
-	}
-}
-
 // projectIdeal collapses the ideal state onto outcome m of qubit q. It
 // returns false when the outcome has (near-)zero amplitude, meaning the
 // noisy trajectory left the ideal branch entirely.
@@ -859,17 +849,8 @@ func projectIdeal(s *quantum.State, q, m int) bool {
 	return true
 }
 
-// Validate is a convenience that panics with context when a workload is
-// inconsistent (used by cmd tools before long runs).
-func Validate(wl *workload.Workload) {
-	if err := ValidateWorkload(wl); err != nil {
-		panic(err.Error())
-	}
-}
-
-// ValidateWorkload is the error-returning twin of Validate, for callers
-// that prefer to surface configuration problems as errors rather than
-// panics (the public artery API routes through it).
+// ValidateWorkload reports a nil or inconsistent workload as an error (the
+// public artery API routes through it).
 func ValidateWorkload(wl *workload.Workload) error {
 	if wl == nil {
 		return fmt.Errorf("core: nil workload")

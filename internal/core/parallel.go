@@ -13,12 +13,14 @@ import (
 // arithmetic depends on how the scheduler interleaves workers.
 //
 // Memory is bounded by a ticket window of 2×workers shots: a worker must
-// hold a ticket to compute a shot, and the merger returns a ticket only
-// after consuming a result, so at most window results are ever live in the
-// reorder buffer. The scheme is deadlock-free — the merger never waits on
-// tickets, and the lowest unmerged index is always claimable (merging i
-// shots has returned i tickets, so at least one of the window+i tickets
-// supplied so far reaches index i).
+// hold a ticket to claim a shot, and the merger returns a ticket only
+// after consuming a result, so shot i is claimed only after shot i−window
+// has been merged. The reorder buffer therefore holds window slots, shot i
+// in slot i%window, each with a one-token ready channel, whatever the shot
+// count. The scheme is deadlock-free — the merger never waits on tickets,
+// and the lowest unmerged index is always claimable (merging i shots has
+// returned i tickets, so at least one of the window+i tickets supplied so
+// far reaches index i).
 //
 // canceled is polled with the merged-shot count before each merge; when it
 // reports true the merger stops consuming, drains the workers and returns
@@ -48,10 +50,10 @@ func forEachShot[T any](shots, workers int, canceled func(int) bool, body func(i
 	if window > shots {
 		window = shots
 	}
-	results := make([]T, shots)
-	ready := make([]chan struct{}, shots)
+	results := make([]T, window)
+	ready := make([]chan struct{}, window)
 	for i := range ready {
-		ready[i] = make(chan struct{})
+		ready[i] = make(chan struct{}, 1)
 	}
 	tickets := make(chan struct{}, window)
 	for i := 0; i < window; i++ {
@@ -69,8 +71,8 @@ func forEachShot[T any](shots, workers int, canceled func(int) bool, body func(i
 				if i >= shots {
 					return
 				}
-				results[i] = body(i)
-				close(ready[i])
+				results[i%window] = body(i)
+				ready[i%window] <- struct{}{}
 			}
 		}()
 	}
@@ -80,9 +82,9 @@ func forEachShot[T any](shots, workers int, canceled func(int) bool, body func(i
 		if canceled(i) {
 			break
 		}
-		<-ready[i]
-		merge(i, results[i])
-		results[i] = zero // release the result's memory promptly
+		<-ready[i%window]
+		merge(i, results[i%window])
+		results[i%window] = zero // release the result's memory promptly
 		tickets <- struct{}{}
 	}
 	// The merger is the only ticket sender, so closing here lets workers

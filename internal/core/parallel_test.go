@@ -62,6 +62,23 @@ func TestForEachShotBodiesRunConcurrently(t *testing.T) {
 	}
 }
 
+// TestForEachShotBufferBoundedByWindow pins the reorder buffer to its
+// 2×workers window: a run of 64k shots allocates no more than a run of
+// 1k.
+func TestForEachShotBufferBoundedByWindow(t *testing.T) {
+	type result [14]int64 // 112 bytes, about a ShotResult's size
+	allocs := func(shots int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			forEachShot(shots, 2, never, func(i int) result {
+				return result{int64(i)}
+			}, func(int, result) {})
+		})
+	}
+	if small, large := allocs(1<<10), allocs(1<<16); large > small {
+		t.Fatalf("forEachShot allocates %v times for 64k shots and %v for 1k: the buffer grows with the shot count", large, small)
+	}
+}
+
 // runResultsEqual compares two RunResults bit-for-bit, treating NaN
 // fidelities as equal.
 func runResultsEqual(a, b RunResult) bool {
@@ -83,12 +100,12 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		make     func() *Engine
 		simulate bool
 	}{
-		// Mode A: shot-safe controller, whole shots fan out.
+		// Whole shots, shot-safe controller: shots fan out.
 		{"baseline-sim", qubicEngine, true},
 		{"baseline-nosim", qubicEngine, false},
-		// Mode B: sequential controller, two-phase synth/feedback pipeline.
+		// Sequential controller, two-phase synth/feedback pipeline.
 		{"artery-nosim", arteryEngine, false},
-		// Mode C: sequential controller + state sim, serial fallback.
+		// Whole shots, sequential controller + state sim: one worker.
 		{"artery-sim", arteryEngine, true},
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}

@@ -19,8 +19,8 @@ import (
 
 // runShotWalk executes one shot by walking the circuit's instruction list
 // directly: the reference semantics that the compiled tape replay
-// (runShotCompiled) and the latency-only synth/feedback pipeline must
-// reproduce bit for bit. It stays deliberately close to the paper's
+// (runShot) and the latency-only synth/feedback pipeline must reproduce
+// bit for bit. It stays deliberately close to the paper's
 // operational description and applies every gate individually.
 func (e *Engine) runShotWalk(wl *workload.Workload, analyses []*circuit.SiteAnalysis, simulate bool, rng *stats.RNG, sess *fault.Session, span *trace.ShotSpan) ShotResult {
 	c := wl.Circuit
@@ -173,4 +173,23 @@ func bodyOf(fb *circuit.Feedback, outcome int) []circuit.Instruction {
 		return fb.OnOne
 	}
 	return fb.OnZero
+}
+
+// applyGate applies one gate with its accompanying noise channels.
+func (e *Engine) applyGate(s *quantum.State, g circuit.Gate, rng *stats.RNG) {
+	g.Apply(s)
+	if g.Kind.TwoQubit() {
+		e.Noise.AfterGate2Q(s, g.Qubits[0], g.Qubits[1], rng)
+	} else if g.Kind != circuit.RZ { // virtual Z is error-free
+		e.Noise.AfterGate1Q(s, g.Qubits[0], rng)
+	}
+}
+
+// applyBody applies a branch body with noise, skipping non-gate entries.
+func (e *Engine) applyBody(s *quantum.State, body []circuit.Instruction, rng *stats.RNG) {
+	for _, in := range body {
+		if in.Kind == circuit.OpGate {
+			e.applyGate(s, in.Gate, rng)
+		}
+	}
 }

@@ -153,9 +153,6 @@ func (p *Predictor) SeedHistory(ones, zeros float64) {
 	p.history.Beta += zeros
 }
 
-// PHistory1 returns the current historical probability of branch 1.
-func (p *Predictor) PHistory1() float64 { return p.history.P() }
-
 // Predict runs the iterative analysis over one feedback site's readout
 // record and returns the decision. pHist is the site's historical
 // probability of branch 1 — the controller keeps one historical

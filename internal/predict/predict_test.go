@@ -313,3 +313,6 @@ func TestModeStringAndReadoutDuration(t *testing.T) {
 		t.Fatalf("ReadoutDurationNs = %v, channel duration %v", got, sharedChannel.Cal.DurationNs)
 	}
 }
+
+// PHistory1 returns the current historical probability of branch 1.
+func (p *Predictor) PHistory1() float64 { return p.history.P() }

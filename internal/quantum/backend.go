@@ -115,59 +115,3 @@ func (k BackendKind) String() string {
 func (n *NoiseModel) CliffordSafe() bool {
 	return math.IsInf(n.T1, 1) && math.IsInf(n.T2, 1) && n.QuasiStaticSigma <= 0
 }
-
-// The Backend-generic noise channels below mirror their *State
-// counterparts draw-for-draw under a CliffordSafe model, where ApplyIdle
-// is a no-op that consumes no randomness. They must only be called when
-// CliffordSafe() holds — the engine checks once per run.
-
-// ApplyDepolarizingB is ApplyDepolarizing against any Backend.
-func (n *NoiseModel) ApplyDepolarizingB(b Backend, q int, p float64, rng *stats.RNG) {
-	if p <= 0 || !rng.Bool(p) {
-		return
-	}
-	switch rng.Intn(3) {
-	case 0:
-		b.X(q)
-	case 1:
-		b.Y(q)
-	default:
-		b.Z(q)
-	}
-}
-
-// AfterGate1QB is AfterGate1Q under a CliffordSafe model: the idle decay
-// term vanishes, leaving the depolarizing gate error.
-func (n *NoiseModel) AfterGate1QB(b Backend, q int, rng *stats.RNG) {
-	n.ApplyDepolarizingB(b, q, n.Gate1QError, rng)
-}
-
-// AfterGate2QB is AfterGate2Q under a CliffordSafe model.
-func (n *NoiseModel) AfterGate2QB(b Backend, a, bq int, rng *stats.RNG) {
-	n.ApplyDepolarizingB(b, a, n.Gate2QError, rng)
-	n.ApplyDepolarizingB(b, bq, n.Gate2QError, rng)
-}
-
-// ApplyIdleDetunedB is ApplyIdleDetuned under a CliffordSafe model,
-// where the detuning is necessarily zero (SampleDetunings returns nil)
-// and idle decay vanishes: the echo path still applies its two X pulses
-// and their depolarizing gate errors, the non-echo path does nothing.
-func (n *NoiseModel) ApplyIdleDetunedB(b Backend, q int, dt float64, echo bool, rng *stats.RNG) {
-	if dt <= 0 || !echo {
-		return
-	}
-	b.X(q)
-	n.ApplyDepolarizingB(b, q, n.Gate1QError, rng)
-	b.X(q)
-	n.ApplyDepolarizingB(b, q, n.Gate1QError, rng)
-}
-
-// NoisyMeasureB is NoisyMeasure against any Backend: one Measure draw,
-// one assignment-flip draw.
-func (n *NoiseModel) NoisyMeasureB(b Backend, q int, rng *stats.RNG) int {
-	m := b.Measure(q, rng)
-	if rng.Bool(n.ReadoutError) {
-		m ^= 1
-	}
-	return m
-}

@@ -62,40 +62,43 @@ func TestNoiseModelCliffordSafe(t *testing.T) {
 	}
 }
 
+// opaqueBackend is a state vector whose dynamic type is not *State: a
+// channel that reaches for the amplitudes through a *State assertion
+// panics on it, as it would on a stabilizer tableau.
+type opaqueBackend struct{ *State }
+
 // TestBackendNoiseChannelsMirrorStateChannels checks the determinism
-// contract of the Backend-generic channels: under a Clifford-safe model
-// each one applies the same Paulis and consumes the same draws as its
-// *State counterpart, so an engine that swaps backends keeps every later
-// draw aligned.
+// contract of the noise channels on registers other than the state vector:
+// under a Clifford-safe model each one applies the same Paulis and
+// consumes the same draws whether or not the register is a *State, so it
+// never needs the amplitudes and an engine that swaps backends keeps every
+// later draw aligned.
 func TestBackendNoiseChannelsMirrorStateChannels(t *testing.T) {
 	n := Ideal()
 	n.Gate1QError, n.Gate2QError, n.ReadoutError = 0.5, 0.5, 0.3
 	if !n.CliffordSafe() {
 		t.Fatal("test model must be Clifford-safe")
 	}
+	// The opaque register hides the amplitudes: amplitude damping, which
+	// needs them, must panic on it.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("amplitude damping ran on an opaque register")
+			}
+		}()
+		DeviceNoise().ApplyIdle(opaqueBackend{NewState(1)}, 0, 500, stats.NewRNG(1))
+	}()
 	channels := []struct {
-		name  string
-		state func(s *State, rng *stats.RNG) int
-		gen   func(b Backend, rng *stats.RNG) int
+		name string
+		run  func(b Backend, rng *stats.RNG) int
 	}{
-		{"depolarizing",
-			func(s *State, r *stats.RNG) int { n.ApplyDepolarizing(s, 0, 0.5, r); return 0 },
-			func(b Backend, r *stats.RNG) int { n.ApplyDepolarizingB(b, 0, 0.5, r); return 0 }},
-		{"after-gate-1q",
-			func(s *State, r *stats.RNG) int { n.AfterGate1Q(s, 1, r); return 0 },
-			func(b Backend, r *stats.RNG) int { n.AfterGate1QB(b, 1, r); return 0 }},
-		{"after-gate-2q",
-			func(s *State, r *stats.RNG) int { n.AfterGate2Q(s, 0, 1, r); return 0 },
-			func(b Backend, r *stats.RNG) int { n.AfterGate2QB(b, 0, 1, r); return 0 }},
-		{"idle-echo",
-			func(s *State, r *stats.RNG) int { n.ApplyIdleDetuned(s, 0, 500, 0, true, r); return 0 },
-			func(b Backend, r *stats.RNG) int { n.ApplyIdleDetunedB(b, 0, 500, true, r); return 0 }},
-		{"idle-no-echo",
-			func(s *State, r *stats.RNG) int { n.ApplyIdleDetuned(s, 0, 500, 0, false, r); return 0 },
-			func(b Backend, r *stats.RNG) int { n.ApplyIdleDetunedB(b, 0, 500, false, r); return 0 }},
-		{"noisy-measure",
-			func(s *State, r *stats.RNG) int { return n.NoisyMeasure(s, 1, r) },
-			func(b Backend, r *stats.RNG) int { return n.NoisyMeasureB(b, 1, r) }},
+		{"depolarizing", func(b Backend, r *stats.RNG) int { n.ApplyDepolarizing(b, 0, 0.5, r); return 0 }},
+		{"after-gate-1q", func(b Backend, r *stats.RNG) int { n.AfterGate1Q(b, 1, r); return 0 }},
+		{"after-gate-2q", func(b Backend, r *stats.RNG) int { n.AfterGate2Q(b, 0, 1, r); return 0 }},
+		{"idle-echo", func(b Backend, r *stats.RNG) int { n.ApplyIdleDetuned(b, 0, 500, 0, true, r); return 0 }},
+		{"idle-no-echo", func(b Backend, r *stats.RNG) int { n.ApplyIdleDetuned(b, 0, 500, 0, false, r); return 0 }},
+		{"noisy-measure", func(b Backend, r *stats.RNG) int { return n.NoisyMeasure(b, 1, r) }},
 	}
 	for _, ch := range channels {
 		t.Run(ch.name, func(t *testing.T) {
@@ -107,8 +110,8 @@ func TestBackendNoiseChannelsMirrorStateChannels(t *testing.T) {
 				init.CNOT(0, 1)
 				a, b := init.Clone(), init.Clone()
 				ra, rb := stats.NewRNG(seed), stats.NewRNG(seed)
-				ma := ch.state(a, ra)
-				mb := ch.gen(b, rb)
+				ma := ch.run(a, ra)
+				mb := ch.run(opaqueBackend{b}, rb)
 				if ma != mb {
 					t.Fatalf("seed %d: outcome %d, want %d", seed, mb, ma)
 				}

@@ -62,14 +62,16 @@ func Ideal() *NoiseModel {
 
 // ApplyIdle evolves qubit q through dt nanoseconds of idling: amplitude
 // damping with γ = 1−exp(−dt/T1) followed by pure dephasing such that the
-// total coherence decay matches exp(−dt/T2).
-func (n *NoiseModel) ApplyIdle(s *State, q int, dt float64, rng *stats.RNG) {
+// total coherence decay matches exp(−dt/T2). Amplitude damping needs the
+// state vector, so a finite T1 panics on any other Backend; a CliffordSafe
+// model makes the call a no-op that draws nothing.
+func (n *NoiseModel) ApplyIdle(b Backend, q int, dt float64, rng *stats.RNG) {
 	if dt <= 0 {
 		return
 	}
 	if !math.IsInf(n.T1, 1) {
 		gamma := 1 - math.Exp(-dt/n.T1)
-		s.applyAmplitudeDamping(q, gamma, rng)
+		b.(*State).applyAmplitudeDamping(q, gamma, rng)
 	}
 	if !math.IsInf(n.T2, 1) {
 		// T2 combines T1 decay and pure dephasing: 1/T2 = 1/(2 T1) + 1/Tφ.
@@ -79,7 +81,7 @@ func (n *NoiseModel) ApplyIdle(s *State, q int, dt float64, rng *stats.RNG) {
 			// Phase-flip-channel representation of dephasing.
 			pFlip := lambda / 2
 			if rng.Bool(pFlip) {
-				s.Z(q)
+				b.Z(q)
 			}
 		}
 	}
@@ -115,34 +117,34 @@ func (s *State) applyAmplitudeDamping(q int, gamma float64, rng *stats.RNG) {
 
 // ApplyDepolarizing applies a single-qubit depolarizing channel with
 // probability p: with prob p a uniformly random Pauli error hits qubit q.
-func (n *NoiseModel) ApplyDepolarizing(s *State, q int, p float64, rng *stats.RNG) {
+func (n *NoiseModel) ApplyDepolarizing(b Backend, q int, p float64, rng *stats.RNG) {
 	if p <= 0 || !rng.Bool(p) {
 		return
 	}
 	switch rng.Intn(3) {
 	case 0:
-		s.X(q)
+		b.X(q)
 	case 1:
-		s.Y(q)
+		b.Y(q)
 	default:
-		s.Z(q)
+		b.Z(q)
 	}
 }
 
 // AfterGate1Q applies the error channels that accompany one single-qubit
 // gate on qubit q: depolarizing gate error plus T1/T2 decay over the gate
 // duration.
-func (n *NoiseModel) AfterGate1Q(s *State, q int, rng *stats.RNG) {
-	n.ApplyDepolarizing(s, q, n.Gate1QError, rng)
-	n.ApplyIdle(s, q, n.Gate1QTime, rng)
+func (n *NoiseModel) AfterGate1Q(b Backend, q int, rng *stats.RNG) {
+	n.ApplyDepolarizing(b, q, n.Gate1QError, rng)
+	n.ApplyIdle(b, q, n.Gate1QTime, rng)
 }
 
-// AfterGate2Q applies the error channels for one two-qubit gate on (a, b).
-func (n *NoiseModel) AfterGate2Q(s *State, a, b int, rng *stats.RNG) {
-	n.ApplyDepolarizing(s, a, n.Gate2QError, rng)
-	n.ApplyDepolarizing(s, b, n.Gate2QError, rng)
-	n.ApplyIdle(s, a, n.Gate2QTime, rng)
-	n.ApplyIdle(s, b, n.Gate2QTime, rng)
+// AfterGate2Q applies the error channels for one two-qubit gate on (a, c).
+func (n *NoiseModel) AfterGate2Q(b Backend, a, c int, rng *stats.RNG) {
+	n.ApplyDepolarizing(b, a, n.Gate2QError, rng)
+	n.ApplyDepolarizing(b, c, n.Gate2QError, rng)
+	n.ApplyIdle(b, a, n.Gate2QTime, rng)
+	n.ApplyIdle(b, c, n.Gate2QTime, rng)
 }
 
 // SampleDetunings draws one frozen detuning (rad/ns) per qubit for a shot.
@@ -160,20 +162,21 @@ func (n *NoiseModel) SampleDetunings(qubits int, rng *stats.RNG) []float64 {
 
 // ApplyIdleDetuned evolves qubit q through dt nanoseconds of idling with
 // the shot's frozen detuning (rad/ns): the Markovian channels of ApplyIdle
-// plus a coherent RZ(detuning·dt) phase accrual.
+// plus a coherent RZ(detuning·dt) phase accrual. The phase needs the state
+// vector, so a nonzero detuning panics on any other Backend.
 //
 // With echo=true the window is executed as an X-echo (XY2) sequence:
 // idle dt/2, X, idle dt/2, X. The coherent detuning phase accrued in the
 // second half cancels the first half's, while Markovian decoherence is
 // unaffected — exactly the dynamical-decoupling behaviour on hardware.
-func (n *NoiseModel) ApplyIdleDetuned(s *State, q int, dt, detuning float64, echo bool, rng *stats.RNG) {
+func (n *NoiseModel) ApplyIdleDetuned(b Backend, q int, dt, detuning float64, echo bool, rng *stats.RNG) {
 	if dt <= 0 {
 		return
 	}
 	if !echo {
-		n.ApplyIdle(s, q, dt, rng)
+		n.ApplyIdle(b, q, dt, rng)
 		if detuning != 0 {
-			s.RZ(q, detuning*dt)
+			b.(*State).RZ(q, detuning*dt)
 		}
 		return
 	}
@@ -181,18 +184,14 @@ func (n *NoiseModel) ApplyIdleDetuned(s *State, q int, dt, detuning float64, ech
 	// pulses conjugate the first half's accrual to −δ·dt/2, so the two
 	// halves cancel: X·RZ(θ)·X·RZ(θ) = RZ(−θ)·RZ(θ) = I.
 	half := dt / 2
-	n.ApplyIdle(s, q, half, rng)
-	if detuning != 0 {
-		s.RZ(q, detuning*half)
+	for range 2 {
+		n.ApplyIdle(b, q, half, rng)
+		if detuning != 0 {
+			b.(*State).RZ(q, detuning*half)
+		}
+		b.X(q)
+		n.ApplyDepolarizing(b, q, n.Gate1QError, rng)
 	}
-	s.X(q)
-	n.ApplyDepolarizing(s, q, n.Gate1QError, rng)
-	n.ApplyIdle(s, q, half, rng)
-	if detuning != 0 {
-		s.RZ(q, detuning*half)
-	}
-	s.X(q)
-	n.ApplyDepolarizing(s, q, n.Gate1QError, rng)
 }
 
 // NoisyMeasure measures qubit q projectively and then flips the reported
@@ -200,8 +199,8 @@ func (n *NoiseModel) ApplyIdleDetuned(s *State, q int, dt, detuning float64, ech
 // The collapsed quantum state is the true post-measurement state; only the
 // classical record is corrupted, which is how assignment error behaves on
 // hardware.
-func (n *NoiseModel) NoisyMeasure(s *State, q int, rng *stats.RNG) int {
-	m := s.Measure(q, rng)
+func (n *NoiseModel) NoisyMeasure(b Backend, q int, rng *stats.RNG) int {
+	m := b.Measure(q, rng)
 	if rng.Bool(n.ReadoutError) {
 		m ^= 1
 	}

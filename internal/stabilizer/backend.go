@@ -25,9 +25,6 @@ type Sim struct {
 
 var _ quantum.Backend = Sim{}
 
-// NewSim returns an n-qubit |0...0⟩ tableau backend.
-func NewSim(n int) Sim { return Sim{New(n)} }
-
 // Measure projectively measures qubit q, consuming exactly one
 // rng.Float64() draw: the outcome is 1 iff the draw is below Prob1(q)
 // (0, 0.5 or 1 on a tableau), exactly the state-vector convention.
@@ -62,7 +59,7 @@ func (s Sim) Reset(q int, rng *stats.RNG) int {
 // Monte-Carlo shots, the tableau analogue of quantum.StatePool: a d=15
 // surface-code register (449 qubits) is a ~500 KiB tableau, far too
 // much to allocate per shot. Get returns a register re-initialized to
-// |0...0⟩, indistinguishable from a fresh NewSim.
+// |0...0⟩, indistinguishable from a fresh Sim{New(n)}.
 //
 // Concurrency contract: Pool is safe for concurrent Get/Put from
 // multiple shot workers. The Sim values themselves are not — each

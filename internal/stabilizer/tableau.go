@@ -77,7 +77,6 @@ func (t *Tableau) checkQubit(q int) {
 }
 
 func (t *Tableau) xbit(i, q int) uint64 { return (t.x[i][q/64] >> uint(q%64)) & 1 }
-func (t *Tableau) zbit(i, q int) uint64 { return (t.z[i][q/64] >> uint(q%64)) & 1 }
 
 // H applies the Hadamard gate to qubit q.
 func (t *Tableau) H(q int) {

@@ -407,3 +407,21 @@ func TestBootstrapCIPanics(t *testing.T) {
 	}()
 	BootstrapCI(nil, 0.95, 100, NewRNG(1))
 }
+
+// Variance returns the unbiased sample variance of xs
+// (0 for fewer than two samples).
+func Variance(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := Mean(xs)
+	ss := 0.0
+	for _, x := range xs {
+		d := x - m
+		ss += d * d
+	}
+	return ss / float64(len(xs)-1)
+}
+
+// StdDev returns the unbiased sample standard deviation of xs.
+func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
