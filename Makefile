@@ -48,9 +48,9 @@ ci: fmt-check tier1
 	$(MAKE) bench-regress
 
 # Short fuzzing pass over the pulse codecs, the compiled-vs-interpreted
-# circuit differential, the QASM parse/serialize round trip and the NDJSON
-# shot-event decoder (one -fuzz target per invocation, as the go tool
-# requires).
+# circuit differential, the QASM parse/serialize round trip, the NDJSON
+# shot-event decoder and the journal's recovery scan (one -fuzz target per
+# invocation, as the go tool requires).
 fuzz-smoke:
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripHuffman$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripRLE$$' -fuzztime $(FUZZTIME)
@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/circuit -run '^$$' -fuzz '^FuzzQASMRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzBackendVsStateVector$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./api -run '^$$' -fuzz '^FuzzShotEvent$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzRecoverSegment$$' -fuzztime $(FUZZTIME)
 
 # Statement-coverage floors: cover-PKG tests ./internal/PKG and fails
 # below PKG's floor — the fault-injection subsystem, the job service, the

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
 )
@@ -165,26 +166,49 @@ func TestCalibrationCacheBounds(t *testing.T) {
 
 // cacheHeapRows checks that k = 1 and k = 6 entries keep no more heap
 // alive than they are charged.
+//
+// A row during which the runtime started an OS thread is measured again
+// with a fresh cache. The thread's runtime structures stay on the Go heap
+// for the life of the process, about 5 KiB whatever the row holds, so
+// they are a one-time cost of the process rather than of the entries. On
+// a loaded machine the runtime starts such a thread at an unpredictable
+// moment, and at k = 6 one of them alone is more than the 8 entries'
+// margin.
 func cacheHeapRows(t *testing.T) {
+	threads := pprof.Lookup("threadcreate")
 	for _, row := range []struct{ k, n int }{{1, 16}, {6, 8}} {
-		var c CalibrationCache
-		var before, after runtime.MemStats
-		runtime.GC() // twice: the first only moves sync.Pool items to the victim cache
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < row.n; i++ {
-			if _, err := c.New(WithSeed(uint64(100+i)), WithHistoryDepth(row.k), WithoutStateSim()); err != nil {
-				t.Fatal(err)
+		for attempt := 1; ; attempt++ {
+			started := threads.Count()
+			perEntry, bytes := cacheHeapRow(t, row.k, row.n)
+			if threads.Count() != started && attempt < 3 {
+				continue
 			}
+			if perEntry > entryBytes(row.k) || bytes != int64(row.n)*entryBytes(row.k) {
+				t.Errorf("k=%d: %d entries keep %d B of heap each and are charged %d B in all, want at most %d B each",
+					row.k, row.n, perEntry, bytes, entryBytes(row.k))
+			}
+			break
 		}
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		perEntry := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(row.n)
-		if _, _, bytes := c.Stats(); perEntry > entryBytes(row.k) || bytes != int64(row.n)*entryBytes(row.k) {
-			t.Errorf("k=%d: %d entries keep %d B of heap each and are charged %d B in all, want at most %d B each",
-				row.k, row.n, perEntry, bytes, entryBytes(row.k))
-		}
-		runtime.KeepAlive(&c)
 	}
+}
+
+// cacheHeapRow fills a fresh cache with n depth-k entries and returns
+// the heap each keeps alive and the bytes the cache charges in all.
+func cacheHeapRow(t *testing.T, k, n int) (perEntry, charged int64) {
+	var c CalibrationCache
+	var before, after runtime.MemStats
+	runtime.GC() // twice: the first only moves sync.Pool items to the victim cache
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := c.New(WithSeed(uint64(100+i)), WithHistoryDepth(k), WithoutStateSim()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	_, _, charged = c.Stats()
+	runtime.KeepAlive(&c)
+	return (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(n), charged
 }

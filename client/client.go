@@ -1,9 +1,9 @@
 // Package client is the Go client for arteryd's job API: submission with
-// retry-and-jittered-backoff on 429/5xx (honoring Retry-After), rotation
-// across multiple endpoints, status polling, and a streaming iterator
-// over per-shot NDJSON updates that transparently reconnects and resumes
-// from the last event it delivered. Wire types are shared with the server
-// and the coordinator (artery/api), so the three cannot drift.
+// retry-and-jittered-backoff on 429/5xx (honoring Retry-After), status
+// polling, and a streaming iterator over per-shot NDJSON updates that
+// transparently reconnects and resumes from the last event it delivered.
+// Wire types are shared with the server and the coordinator (artery/api),
+// so the three cannot drift.
 package client
 
 import (
@@ -49,16 +49,12 @@ type RetryInfo struct {
 	RetryAfter bool
 	// Delay is the backoff the client will sleep before the next attempt.
 	Delay time.Duration
-	// Endpoint is the base URL the failed attempt targeted.
-	Endpoint string
 }
 
-// Client talks to one or more arteryd base URLs. With several endpoints
-// (NewMulti), submissions rotate to the next endpoint on retryable
-// failures, and requests about a job are routed to the endpoint that
-// accepted it. A Client is safe for concurrent use.
+// Client talks to one arteryd base URL. A Client is safe for concurrent
+// use.
 type Client struct {
-	bases   []string
+	base    string
 	hc      *http.Client
 	retries int
 	backoff time.Duration
@@ -67,17 +63,9 @@ type Client struct {
 	onRetry func(RetryInfo)
 	sleep   func(ctx context.Context, d time.Duration) error // test seam
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	cur    int               // preferred endpoint index
-	routes map[string]string // job ID -> accepting endpoint
-	order  []string          // route insertion order, for capped eviction
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 }
-
-// maxRoutes caps the job-routing table. Routes are pruned as soon as a
-// job is observed terminal (Wait, Stream end); the cap bounds
-// fire-and-forget callers that never look at a job again.
-const maxRoutes = 4096
 
 // sleepCtx sleeps for d unless ctx ends first, returning ctx's error so
 // backoffs never outlive a canceled caller.
@@ -119,42 +107,27 @@ func WithRetryHook(fn func(RetryInfo)) Option { return func(c *Client) { c.onRet
 
 // WithRetryAfterCap bounds how long a server-sent Retry-After header can
 // make Submit sleep (default: the WithBackoff cap). An overloaded — or
-// chaos-degraded — server quoting a huge estimate must not pin a client
-// for minutes when rotating to another endpoint is available.
+// chaos-degraded — server quoting a huge estimate must not pin a caller
+// that has somewhere better to go (the coordinator fails a shard over to
+// another backend once its client gives up).
 func WithRetryAfterCap(d time.Duration) Option { return func(c *Client) { c.waitCap = d } }
 
 // New builds a client for the given base URL (e.g.
 // "http://127.0.0.1:7717"). The URL is validated here — an unparseable
 // or schemeless base fails at construction, not on the first request.
 func New(base string, opts ...Option) (*Client, error) {
-	return NewMulti([]string{base}, opts...)
-}
-
-// NewMulti builds a client over several equivalent endpoints (replicas
-// or coordinators). Submissions prefer the current endpoint and rotate
-// to the next on retryable failures (transport errors, 429, 5xx);
-// status, stream and wait calls for a job are routed to the endpoint
-// that accepted it (job IDs are server-local).
-func NewMulti(bases []string, opts ...Option) (*Client, error) {
-	if len(bases) == 0 {
-		return nil, fmt.Errorf("client: at least one endpoint is required")
+	nb, err := normalizeBase(base)
+	if err != nil {
+		return nil, err
 	}
 	c := &Client{
-		bases:   make([]string, len(bases)),
+		base:    nb,
 		hc:      &http.Client{Timeout: 30 * time.Second},
 		retries: 5,
 		backoff: 100 * time.Millisecond,
 		maxWait: 5 * time.Second,
 		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 		sleep:   sleepCtx,
-		routes:  map[string]string{},
-	}
-	for i, b := range bases {
-		nb, err := normalizeBase(b)
-		if err != nil {
-			return nil, err
-		}
-		c.bases[i] = nb
 	}
 	for _, o := range opts {
 		o(c)
@@ -191,79 +164,13 @@ func normalizeBase(base string) (string, error) {
 	return b, nil
 }
 
-// Endpoints returns the configured base URLs.
-func (c *Client) Endpoints() []string { return append([]string(nil), c.bases...) }
-
-// endpoint returns the currently preferred base URL.
-func (c *Client) endpoint() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bases[c.cur]
-}
-
-// rotate advances the preferred endpoint past a failing base (no-op for
-// single-endpoint clients, or when another caller already rotated).
-func (c *Client) rotate(failed string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.bases) > 1 && c.bases[c.cur] == failed {
-		c.cur = (c.cur + 1) % len(c.bases)
-	}
-}
-
-// remember records which endpoint accepted a job. The table is bounded:
-// terminal jobs are forgotten eagerly, and past maxRoutes the oldest
-// remembered routes are evicted (a job ID is only useful while its job
-// is live, so a coordinator submitting shard-jobs forever stays flat).
-func (c *Client) remember(id, base string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.routes[id]; !ok {
-		c.order = append(c.order, id)
-	}
-	c.routes[id] = base
-	for len(c.routes) > maxRoutes && len(c.order) > 0 {
-		delete(c.routes, c.order[0])
-		c.order = c.order[1:]
-	}
-	// Compact the order slice once forgotten IDs dominate it, so eager
-	// pruning doesn't just move the leak from the map to the slice.
-	if len(c.order) > 2*len(c.routes)+16 {
-		live := c.order[:0]
-		for _, oid := range c.order {
-			if _, ok := c.routes[oid]; ok {
-				live = append(live, oid)
-			}
-		}
-		c.order = live
-	}
-}
-
-// forget drops a job's route once the job is observed in a terminal
-// state — nothing routes to it anymore.
-func (c *Client) forget(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.routes, id)
-}
-
-// route returns the endpoint serving a job's ID: the accepting endpoint
-// when known, else the preferred one.
-func (c *Client) route(id string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.routes[id]; ok {
-		return b
-	}
-	return c.bases[c.cur]
-}
+// Base returns the normalized base URL (no trailing slash).
+func (c *Client) Base() string { return c.base }
 
 // Submit posts a job. Over-capacity (429) and transient server errors
 // (5xx) are retried with jittered exponential backoff — a 429's
 // Retry-After header, when present, replaces the exponential delay — up
-// to the configured retry budget, rotating to the next endpoint between
-// attempts when several are configured. 4xx errors other than 429 fail
-// fast.
+// to the configured retry budget. 4xx errors other than 429 fail fast.
 func (c *Client) Submit(ctx context.Context, req Request) (*JobStatus, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -271,19 +178,15 @@ func (c *Client) Submit(ctx context.Context, req Request) (*JobStatus, error) {
 	}
 	var last error
 	for attempt := 0; ; attempt++ {
-		base := c.endpoint()
-		st, retryable, err := c.trySubmit(ctx, base, body)
+		st, retryable, err := c.trySubmit(ctx, body)
 		if err == nil {
-			c.remember(st.ID, base)
 			return st, nil
 		}
 		last = err
 		if !retryable || attempt >= c.retries {
 			return nil, last
 		}
-		c.rotate(base)
 		info := c.delay(attempt, err)
-		info.Endpoint = base
 		if c.onRetry != nil {
 			c.onRetry(info)
 		}
@@ -316,10 +219,10 @@ func IsGone(err error) bool {
 	return ok && he.status == http.StatusGone && he.code == api.CodeEvicted
 }
 
-// trySubmit performs one POST attempt against base; retryable marks
-// 429/5xx/transport failures.
-func (c *Client) trySubmit(ctx context.Context, base string, body []byte) (st *JobStatus, retryable bool, err error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
+// trySubmit performs one POST attempt; retryable marks 429/5xx/transport
+// failures.
+func (c *Client) trySubmit(ctx context.Context, body []byte) (st *JobStatus, retryable bool, err error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return nil, false, err
 	}
@@ -388,7 +291,7 @@ func (c *Client) delay(attempt int, err error) RetryInfo {
 
 // Job fetches a job's status.
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.route(id)+"/v1/jobs/"+id, nil)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +324,6 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*JobS
 			return nil, err
 		}
 		if api.Terminal(js.State) {
-			c.forget(id)
 			return js, nil
 		}
 		select {
@@ -432,10 +334,9 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*JobS
 	}
 }
 
-// Metrics fetches the /metrics Prometheus exposition of the preferred
-// endpoint.
+// Metrics fetches the server's /metrics Prometheus exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.endpoint()+"/metrics", nil)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {
 		return "", err
 	}

@@ -220,3 +220,48 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("metrics missing completed counter:\n%s", metrics)
 	}
 }
+
+// TestIsGone is the client's half of the typed 410 contract, against a
+// real server that retains one job: the id of an evicted job is Gone,
+// while an id the server never issued is a plain 404.
+func TestIsGone(t *testing.T) {
+	s := server.New(server.Config{QueueDepth: 4, MaxConcurrentJobs: 1, WorkerBudget: 1, MaxRetainedJobs: 1})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	// A full job table answers 429 until the finished job retires, so
+	// the second submission retries on a short backoff.
+	c := MustNew(ts.URL, WithRetries(200), WithBackoff(time.Millisecond, 10*time.Millisecond))
+	off := false
+	req := Request{Workload: "qrw", Param: 3, Shots: 3, Seed: 4, Options: &RequestOptions{StateSim: &off}}
+	first, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := c.Wait(ctx, first.ID, time.Millisecond); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if _, err := c.Submit(ctx, req); err != nil {
+		t.Fatalf("second Submit: %v", err)
+	}
+
+	_, err = c.Job(ctx, first.ID)
+	if !IsGone(err) {
+		t.Fatalf("Job(%s) after eviction: %v, want IsGone", first.ID, err)
+	}
+	_, err = c.Job(ctx, "job-999")
+	if he, ok := err.(*httpError); !ok || he.status != http.StatusNotFound {
+		t.Fatalf("Job(job-999): %v, want a 404", err)
+	}
+	if IsGone(err) {
+		t.Fatalf("IsGone(%v) for an id the server never issued", err)
+	}
+}

@@ -2,13 +2,10 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,7 +24,7 @@ func TestNewValidatesBaseURL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New rejected a valid base: %v", err)
 	}
-	if got := c.Endpoints()[0]; got != "http://127.0.0.1:7717" {
+	if got := c.Base(); got != "http://127.0.0.1:7717" {
 		t.Errorf("trailing slash survived normalization: %q", got)
 	}
 	defer func() {
@@ -36,50 +33,6 @@ func TestNewValidatesBaseURL(t *testing.T) {
 		}
 	}()
 	MustNew(":not a url:")
-}
-
-// TestNewMultiRotatesOnFailure: with two endpoints, a dead first node
-// costs one retry and the submission lands on the second; follow-up
-// requests about the job route to the endpoint that accepted it.
-func TestNewMultiRotatesOnFailure(t *testing.T) {
-	var deadCalls atomic.Int32
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		deadCalls.Add(1)
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer dead.Close()
-	var aliveJobs atomic.Int32
-	alive := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost:
-			w.WriteHeader(http.StatusAccepted)
-			json.NewEncoder(w).Encode(JobStatus{ID: "job-1", State: "queued"})
-		default:
-			aliveJobs.Add(1)
-			json.NewEncoder(w).Encode(JobStatus{ID: "job-1", State: "done"})
-		}
-	}))
-	defer alive.Close()
-
-	c, err := NewMulti([]string{dead.URL, alive.URL}, WithRetries(3))
-	if err != nil {
-		t.Fatalf("NewMulti: %v", err)
-	}
-	c.sleep = func(context.Context, time.Duration) error { return nil }
-	js, err := c.Submit(context.Background(), Request{Workload: "qrw", Param: 3, Shots: 5})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if got := deadCalls.Load(); got != 1 {
-		t.Errorf("dead endpoint saw %d attempts, want 1 (rotate after first failure)", got)
-	}
-	// Job status must hit the accepting endpoint, not the dead one.
-	if _, err := c.Job(context.Background(), js.ID); err != nil {
-		t.Fatalf("Job: %v", err)
-	}
-	if aliveJobs.Load() != 1 {
-		t.Errorf("status call did not route to the accepting endpoint")
-	}
 }
 
 // chokeStream wraps a real server handler and truncates every stream
@@ -215,89 +168,6 @@ func TestStreamFromSkipsPrefix(t *testing.T) {
 	}
 	if _, err := c.StreamFrom(ctx, js.ID, -1); err == nil {
 		t.Error("StreamFrom(-1) succeeded")
-	}
-}
-
-// routeCount reads the size of the job-routing table.
-func routeCount(c *Client) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.routes)
-}
-
-// TestRoutesPrunedOnTerminal: observing a job terminal (Wait, or a
-// stream's end line) drops its route — a long-lived client submitting
-// forever must not accumulate one entry per job.
-func TestRoutesPrunedOnTerminal(t *testing.T) {
-	s := server.New(server.Config{QueueDepth: 4, MaxConcurrentJobs: 1, WorkerBudget: 2})
-	s.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	ctx := context.Background()
-	c := MustNew(ts.URL)
-	off := false
-	req := Request{Workload: "qrw", Param: 3, Shots: 3, Seed: 5, Options: &RequestOptions{StateSim: &off}}
-
-	js, err := c.Submit(ctx, req)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if routeCount(c) != 1 {
-		t.Fatalf("after Submit: %d routes, want 1", routeCount(c))
-	}
-	if _, err := c.Wait(ctx, js.ID, time.Millisecond); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if routeCount(c) != 0 {
-		t.Fatalf("after terminal Wait: %d routes, want 0", routeCount(c))
-	}
-
-	js, err = c.Submit(ctx, req)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	st, err := c.Stream(ctx, js.ID)
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	defer st.Close()
-	for {
-		if _, err := st.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-	}
-	if routeCount(c) != 0 {
-		t.Fatalf("after stream end: %d routes, want 0", routeCount(c))
-	}
-}
-
-// TestRouteTableBounded: even a fire-and-forget submitter that never
-// observes its jobs terminal keeps the table at the cap, and eager
-// pruning does not just move the growth into the order slice.
-func TestRouteTableBounded(t *testing.T) {
-	c := MustNew("http://127.0.0.1:1")
-	for i := 0; i < 3*maxRoutes; i++ {
-		id := "job-" + strconv.Itoa(i)
-		c.remember(id, c.bases[0])
-		if i%2 == 0 {
-			c.forget(id)
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.routes) > maxRoutes {
-		t.Errorf("routes grew to %d, cap is %d", len(c.routes), maxRoutes)
-	}
-	if len(c.order) > 2*maxRoutes+16 {
-		t.Errorf("order slice grew to %d entries for %d routes", len(c.order), len(c.routes))
 	}
 }
 

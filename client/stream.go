@@ -71,7 +71,7 @@ func (c *Client) StreamFrom(ctx context.Context, id string, from int) (*Stream, 
 
 // open (re)establishes the HTTP stream from s.delivered.
 func (s *Stream) open() error {
-	u := s.c.route(s.id) + "/v1/jobs/" + s.id + "/stream"
+	u := s.c.base + "/v1/jobs/" + s.id + "/stream"
 	if s.delivered > 0 {
 		u += "?from=" + strconv.Itoa(s.delivered)
 	}
@@ -141,7 +141,6 @@ func (s *Stream) next() (ShotEvent, error) {
 		}
 		if l.Done {
 			s.end = &api.StreamEnd{Done: true, State: l.State, Error: l.Error, Result: l.Result}
-			s.c.forget(s.id) // the job is terminal; its route is dead weight
 			return ShotEvent{}, io.EOF
 		}
 		return l.ShotEvent, nil

@@ -4,13 +4,11 @@
 // and its arteryd backends. It injects the degraded networking a
 // production control stack must survive — added latency, connection
 // resets, blackhole partitions, truncated bodies, corrupt frames,
-// slow-loris streams and 5xx storms — in two forms:
-//
-//   - Transport: an http.RoundTripper wrapper, for wiring chaos into any
-//     in-process client (the coordinator's backend clients, a test's
-//     stream reader) without touching sockets.
-//   - Proxy: a standalone TCP proxy, for smoke tests that place real
-//     processes behind real degraded links (artery-bench -chaos-proxy).
+// slow-loris streams and 5xx storms — through one shape, a TCP Proxy
+// that sits in front of a target and degrades the links through it. The
+// same proxy serves in-process tests (one per backend, in front of an
+// httptest server) and smoke tests that place real processes behind
+// real degraded links (artery-bench -chaos-proxy).
 //
 // Determinism contract: every fault decision flows from one seed through
 // per-connection stats.RNG streams derived exactly like stats.RNG.SplitN
@@ -276,7 +274,7 @@ type metrics struct {
 
 func newMetrics(reg *trace.Registry) metrics {
 	return metrics{
-		connections: reg.Counter("artery_chaos_connections_total", "connections/requests seen by the chaos injector"),
+		connections: reg.Counter("artery_chaos_connections_total", "connections seen by the chaos injector"),
 		faults:      reg.Counter("artery_chaos_faults_total", "connections given a destructive fault"),
 		latencies:   reg.Counter("artery_chaos_latency_injections_total", "connections given added latency"),
 		storms:      reg.Counter("artery_chaos_storms_total", "connections answered with a synthetic 503"),

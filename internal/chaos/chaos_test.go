@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -131,162 +132,25 @@ func newBackend(t *testing.T) *httptest.Server {
 	return ts
 }
 
-func oneShotTransport(t *testing.T, cfg Config) *http.Client {
-	t.Helper()
-	tr, err := NewTransport(cfg, nil)
-	if err != nil {
-		t.Fatalf("NewTransport: %v", err)
-	}
-	return &http.Client{Transport: tr}
-}
-
-func TestTransportFaults(t *testing.T) {
-	ts := newBackend(t)
-
-	t.Run("clean", func(t *testing.T) {
-		hc := oneShotTransport(t, Config{Seed: 1})
-		resp, err := hc.Get(ts.URL)
-		if err != nil {
-			t.Fatalf("clean get: %v", err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if !bytes.Equal(b, backendBody) {
-			t.Fatal("zero-rate transport altered the body")
-		}
-	})
-
-	t.Run("storm", func(t *testing.T) {
-		hc := oneShotTransport(t, Config{Seed: 1, Error5xxRate: 1})
-		resp, err := hc.Get(ts.URL)
-		if err != nil {
-			t.Fatalf("storm get: %v", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("storm status = %d, want 503", resp.StatusCode)
-		}
-	})
-
-	t.Run("reset", func(t *testing.T) {
-		hc := oneShotTransport(t, Config{Seed: 1, ResetRate: 1})
-		if _, err := hc.Get(ts.URL); err == nil {
-			t.Fatal("reset get succeeded")
-		} else if !IsInjected(err) {
-			t.Fatalf("reset error %v is not marked injected", err)
-		}
-	})
-
-	t.Run("blackhole-honors-ctx", func(t *testing.T) {
-		tr, err := NewTransport(Config{Seed: 1, BlackholeRate: 1, BlackholeHold: time.Minute}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL, nil)
-		start := time.Now()
-		if _, err := tr.RoundTrip(req); err == nil {
-			t.Fatal("blackhole returned a response")
-		}
-		if time.Since(start) > 5*time.Second {
-			t.Fatal("blackhole ignored the context deadline")
-		}
-	})
-
-	t.Run("blackhole-heals", func(t *testing.T) {
-		hc := oneShotTransport(t, Config{Seed: 1, BlackholeRate: 1, BlackholeHold: 20 * time.Millisecond})
-		start := time.Now()
-		if _, err := hc.Get(ts.URL); err == nil {
-			t.Fatal("blackhole returned a response")
-		}
-		if time.Since(start) < 20*time.Millisecond {
-			t.Fatal("blackhole did not hold the connection")
-		}
-	})
-
-	t.Run("truncate", func(t *testing.T) {
-		hc := oneShotTransport(t, Config{Seed: 1, TruncateRate: 1, TruncateMin: 100, TruncateMax: 100})
-		resp, err := hc.Get(ts.URL)
-		if err != nil {
-			t.Fatalf("truncate get: %v", err)
-		}
-		defer resp.Body.Close()
-		b, rerr := io.ReadAll(resp.Body)
-		if rerr == nil {
-			t.Fatalf("truncated body read cleanly (%d bytes)", len(b))
-		}
-		if len(b) > 100 {
-			t.Fatalf("read %d bytes past the 100-byte cut", len(b))
-		}
-	})
-
-	t.Run("corrupt", func(t *testing.T) {
-		hc := oneShotTransport(t, Config{Seed: 1, CorruptRate: 1, CorruptSpan: len(backendBody)})
-		resp, err := hc.Get(ts.URL)
-		if err != nil {
-			t.Fatalf("corrupt get: %v", err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if bytes.Equal(b, backendBody) {
-			t.Fatal("corrupt transport delivered a clean body")
-		}
-		diff := 0
-		for i := range b {
-			if i < len(backendBody) && b[i] != backendBody[i] {
-				diff++
-			}
-		}
-		if diff != 1 {
-			t.Fatalf("corruption flipped %d bytes, want exactly 1", diff)
-		}
-	})
-
-	t.Run("slowloris", func(t *testing.T) {
-		hc := oneShotTransport(t, Config{Seed: 1, SlowLorisRate: 1, SlowChunk: 1024, SlowDelay: 5 * time.Millisecond})
-		start := time.Now()
-		resp, err := hc.Get(ts.URL)
-		if err != nil {
-			t.Fatalf("slow get: %v", err)
-		}
-		defer resp.Body.Close()
-		b, rerr := io.ReadAll(resp.Body)
-		if rerr != nil || !bytes.Equal(b, backendBody) {
-			t.Fatalf("slow body wrong: err=%v len=%d", rerr, len(b))
-		}
-		if d := time.Since(start); d < 15*time.Millisecond {
-			t.Fatalf("4 KiB in 1 KiB chunks with 5ms delays finished in %v", d)
-		}
-	})
-
-	t.Run("latency", func(t *testing.T) {
-		hc := oneShotTransport(t, Config{Seed: 1, LatencyRate: 1, LatencyMin: 30 * time.Millisecond, LatencyMax: 30 * time.Millisecond})
-		start := time.Now()
-		resp, err := hc.Get(ts.URL)
-		if err != nil {
-			t.Fatalf("latency get: %v", err)
-		}
-		resp.Body.Close()
-		if d := time.Since(start); d < 30*time.Millisecond {
-			t.Fatalf("latency injection took only %v", d)
-		}
-	})
-}
-
-func TestTransportMetrics(t *testing.T) {
+// TestProxyMetrics checks the artery_chaos_* counters the proxy shares
+// with every injection site.
+func TestProxyMetrics(t *testing.T) {
 	ts := newBackend(t)
 	reg := trace.NewRegistry()
-	tr, err := NewTransport(Config{Seed: 3, ResetRate: 1, Registry: reg}, nil)
+	p, err := NewProxy(Config{Seed: 3, ResetRate: 1, Registry: reg}, "127.0.0.1:0", ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc := &http.Client{Transport: tr}
+	defer p.Close()
+	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 10 * time.Second}
 	for i := 0; i < 3; i++ {
-		hc.Get(ts.URL)
+		if resp, err := hc.Get("http://" + p.Addr()); err == nil {
+			resp.Body.Close()
+			t.Fatal("reset get succeeded")
+		}
 	}
-	if tr.Faults() != 3 {
-		t.Fatalf("Faults() = %d, want 3", tr.Faults())
+	if p.Faults() != 3 {
+		t.Fatalf("Faults() = %d, want 3", p.Faults())
 	}
 	var prom strings.Builder
 	reg.WriteProm(&prom)
@@ -391,6 +255,45 @@ func TestProxyFaults(t *testing.T) {
 		if p.Faults() != 1 {
 			t.Fatalf("Faults() = %d, want 1", p.Faults())
 		}
+		// Exactly one byte differs, by the planned mask.
+		mask := planFor(cfg.withDefaults(), newStreams(cfg.Seed).at(0)).corruptMask
+		diff := 0
+		for i := range b {
+			if i < len(backendBody) && b[i] != backendBody[i] {
+				diff++
+				if b[i]^backendBody[i] != mask {
+					t.Fatalf("byte %d flipped by %#x, planned mask %#x", i, b[i]^backendBody[i], mask)
+				}
+			}
+		}
+		if diff != 1 {
+			t.Fatalf("corruption flipped %d bytes, want exactly 1", diff)
+		}
+	})
+
+	t.Run("truncate-bounded", func(t *testing.T) {
+		// Read the raw stream: nothing past the planned cut may arrive,
+		// and what does arrive is the head of the genuine response.
+		p, _ := start(t, Config{Seed: 1, TruncateRate: 1, TruncateMin: 100, TruncateMax: 100})
+		conn, err := net.Dial("tcp", p.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: chaos\r\nConnection: close\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(conn) // the cut ends in a reset
+		if len(got) > 100 {
+			t.Fatalf("read %d bytes past the 100-byte cut", len(got))
+		}
+		if head := "HTTP/1.1 200 OK"; !strings.HasPrefix(head, string(got)) && !strings.HasPrefix(string(got), head) {
+			t.Fatalf("truncated stream %q is not the head of the response", got)
+		}
+		if p.Faults() != 1 {
+			t.Fatalf("Faults() = %d, want 1", p.Faults())
+		}
 	})
 
 	t.Run("slowloris", func(t *testing.T) {
@@ -406,6 +309,40 @@ func TestProxyFaults(t *testing.T) {
 		}
 		if d := time.Since(startT); d < 15*time.Millisecond {
 			t.Fatalf("slow proxy finished in %v", d)
+		}
+	})
+
+	t.Run("latency", func(t *testing.T) {
+		p, hc := start(t, Config{Seed: 1, LatencyRate: 1, LatencyMin: 30 * time.Millisecond, LatencyMax: 30 * time.Millisecond})
+		startT := time.Now()
+		resp, err := hc.Get("http://" + p.Addr())
+		if err != nil {
+			t.Fatalf("latency get: %v", err)
+		}
+		defer resp.Body.Close()
+		if b, rerr := io.ReadAll(resp.Body); rerr != nil || !bytes.Equal(b, backendBody) {
+			t.Fatalf("latency proxy body wrong: err=%v len=%d", rerr, len(b))
+		}
+		if d := time.Since(startT); d < 30*time.Millisecond {
+			t.Fatalf("latency injection took only %v", d)
+		}
+		if p.Faults() != 0 {
+			t.Fatalf("Faults() = %d for latency alone, want 0", p.Faults())
+		}
+	})
+
+	t.Run("blackhole-honors-ctx", func(t *testing.T) {
+		p, hc := start(t, Config{Seed: 1, BlackholeRate: 1, BlackholeHold: time.Minute})
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+p.Addr(), nil)
+		startT := time.Now()
+		if resp, err := hc.Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatal("blackholed get succeeded")
+		}
+		if d := time.Since(startT); d > 5*time.Second {
+			t.Fatalf("a 50ms deadline waited %v on the blackhole", d)
 		}
 	})
 
@@ -495,8 +432,5 @@ func TestProxyRejectsBadTarget(t *testing.T) {
 	}
 	if _, err := NewProxy(Config{ResetRate: 2}, "127.0.0.1:0", "127.0.0.1:1"); err == nil {
 		t.Fatal("invalid config accepted")
-	}
-	if _, err := NewTransport(Config{ResetRate: 2}, nil); err == nil {
-		t.Fatal("invalid transport config accepted")
 	}
 }

@@ -30,22 +30,23 @@ type breaker struct {
 	n      int    // outcomes recorded (≤ len(window))
 	idx    int    // next ring slot
 	fails  int    // failures currently in the ring
-	trip   float64
-	minN   int
-	cool   time.Duration
 	state  int
 	until  time.Time        // open → half-open transition time
 	now    func() time.Time // test seam
 }
 
-func newBreaker(window int, trip float64, minSamples int, cooldown time.Duration) *breaker {
-	return &breaker{
-		window: make([]bool, window),
-		trip:   trip,
-		minN:   minSamples,
-		cool:   cooldown,
-		now:    time.Now,
-	}
+// The breaker's shape: it judges the last breakerWindow outcomes, trips
+// at a breakerTrip failure rate over at least breakerMinSamples of them,
+// and stays open for breakerCooldown before half-opening.
+const (
+	breakerWindow     = 16
+	breakerTrip       = 0.5
+	breakerMinSamples = 4
+	breakerCooldown   = 2 * time.Second
+)
+
+func newBreaker() *breaker {
+	return &breaker{window: make([]bool, breakerWindow), now: time.Now}
 }
 
 // allow reports whether the backend may take an attempt now. It does not
@@ -78,7 +79,7 @@ func (b *breaker) record(ok bool) (tripped bool) {
 			return false
 		}
 		b.state = breakerOpen
-		b.until = b.now().Add(b.cool)
+		b.until = b.now().Add(breakerCooldown)
 		return true
 	}
 	// Closed: windowed trip check.
@@ -94,9 +95,9 @@ func (b *breaker) record(ok bool) (tripped bool) {
 		b.fails++
 	}
 	b.idx = (b.idx + 1) % len(b.window)
-	if b.n >= b.minN && float64(b.fails)/float64(b.n) >= b.trip {
+	if b.n >= breakerMinSamples && float64(b.fails)/float64(b.n) >= breakerTrip {
 		b.state = breakerOpen
-		b.until = b.now().Add(b.cool)
+		b.until = b.now().Add(breakerCooldown)
 		return true
 	}
 	return false

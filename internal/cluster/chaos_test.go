@@ -12,27 +12,31 @@ import (
 	"artery/internal/chaos"
 )
 
-// chaosClientOption builds a client option that routes every backend
-// request through a deterministic chaos transport at the given seed and
-// rate.
-func chaosClientOption(t *testing.T, seed uint64, rate float64) client.Option {
+// chaosBackend starts one backend node behind its own seeded chaos proxy
+// and returns the proxy, whose URL is the backend's base.
+func chaosBackend(t *testing.T, seed uint64, rate float64) *chaos.Proxy {
 	t.Helper()
-	tr, err := chaos.NewTransport(chaos.Scaled(seed, rate), nil)
+	n := startNode(t, 1, nil)
+	p, err := chaos.NewProxy(chaos.Scaled(seed, rate), "127.0.0.1:0", n.ts.URL)
 	if err != nil {
-		t.Fatalf("chaos.NewTransport: %v", err)
+		t.Fatalf("chaos.NewProxy: %v", err)
 	}
-	return client.WithHTTPClient(&http.Client{Transport: tr})
+	t.Cleanup(func() { p.Close() })
+	return p
 }
 
 // TestCoordinatorBitIdenticalUnderChaos is the resilience acceptance
-// suite: with every coordinator→backend request passing through the
-// deterministic chaos transport — injected latency, resets, blackholes,
-// truncated and corrupted frames, slow-loris drip, 5xx storms — any job
-// that completes must still be byte-identical to a clean single-node
-// run, across {hedging on/off} × {breakers on/off} × {two chaos seeds}
-// × {1, 2, 4 backends}. Retries, hedges and failovers may reshuffle
-// which backend serves which shard; the ordinal-addressed shard buffers
-// assert that none of it can change a single output byte.
+// suite: every backend sits behind its own deterministic chaos proxy —
+// injected latency, resets, blackholes, truncated and corrupted frames,
+// slow-loris drip, 5xx storms — and any job that completes must still be
+// byte-identical to a clean single-node run, across {hedging on/off} ×
+// {two chaos seeds} × {1, 2, 4 backends}. Retries, hedges and failovers
+// may reshuffle which backend serves which shard; the ordinal-addressed
+// shard buffers assert that none of it can change a single output byte.
+// The coordinator's backend clients turn keep-alives off, so every
+// request is its own proxied connection and draws its own fault plan,
+// and a cell whose proxies injected no destructive fault fails: it
+// would have tested nothing.
 func TestCoordinatorBitIdenticalUnderChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix is slow")
@@ -46,32 +50,41 @@ func TestCoordinatorBitIdenticalUnderChaos(t *testing.T) {
 	wantRes, wantEvents := runJob(t, golden.ts.URL, req)
 
 	for _, hedge := range []bool{true, false} {
-		for _, breakers := range []bool{true, false} {
-			for _, seed := range []uint64{3, 9} {
-				for _, backends := range []int{1, 2, 4} {
-					hedge, breakers, seed, backends := hedge, breakers, seed, backends
-					name := fmt.Sprintf("hedge=%v/breakers=%v/seed=%d/backends=%d", hedge, breakers, seed, backends)
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						var bases []string
-						for i := 0; i < backends; i++ {
-							bases = append(bases, startNode(t, 1, nil).ts.URL)
-						}
-						_, coordURL := startCoordinator(t, Config{
-							Backends:        bases,
-							ShardAttempts:   8,
-							DisableHedging:  !hedge,
-							DisableBreakers: !breakers,
-							// A fixed short hedge delay keeps the hedged cells
-							// actually hedging instead of waiting out the
-							// adaptive floor on every faulted attempt.
-							HedgeDelay:    300 * time.Millisecond,
-							ClientOptions: []client.Option{chaosClientOption(t, seed, 0.12)},
-						})
-						res, events := runJob(t, coordURL, req)
-						compareRuns(t, name, wantRes, wantEvents, res, events)
+		for _, seed := range []uint64{3, 9} {
+			for _, backends := range []int{1, 2, 4} {
+				hedge, seed, backends := hedge, seed, backends
+				name := fmt.Sprintf("hedge=%v/seed=%d/backends=%d", hedge, seed, backends)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					var proxies []*chaos.Proxy
+					var bases []string
+					for i := 0; i < backends; i++ {
+						p := chaosBackend(t, seed+uint64(i), 0.12)
+						proxies = append(proxies, p)
+						bases = append(bases, "http://"+p.Addr())
+					}
+					noKeepAlive := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+					_, coordURL := startCoordinator(t, Config{
+						Backends:       bases,
+						ShardAttempts:  8,
+						DisableHedging: !hedge,
+						// A fixed short hedge delay keeps the hedged cells
+						// actually hedging instead of waiting out the
+						// adaptive floor on every faulted attempt.
+						HedgeDelay:    300 * time.Millisecond,
+						ClientOptions: []client.Option{client.WithHTTPClient(noKeepAlive)},
 					})
-				}
+					res, events := runJob(t, coordURL, req)
+					compareRuns(t, name, wantRes, wantEvents, res, events)
+					var faults int64
+					for _, p := range proxies {
+						faults += p.Faults()
+					}
+					if faults == 0 {
+						t.Errorf("%s: the proxies injected no destructive fault", name)
+					}
+					t.Logf("%s: %d destructive faults", name, faults)
+				})
 			}
 		}
 	}
@@ -82,11 +95,10 @@ func TestCoordinatorBitIdenticalUnderChaos(t *testing.T) {
 // sheds submissions with 503 instead of queueing jobs it cannot run.
 func TestCoordinatorNotReadyWithoutBackends(t *testing.T) {
 	co, coordURL := startCoordinator(t, Config{
-		Backends:       []string{"http://127.0.0.1:1"}, // nothing listens here
-		HealthInterval: 20 * time.Millisecond,
+		Backends: []string{"http://127.0.0.1:1"}, // nothing listens here
 	})
-	// The immediate first probe plus one interval is enough to mark the
-	// backend unhealthy; poll briefly to avoid a startup race.
+	// The immediate first probe is enough to mark the backend unhealthy;
+	// poll briefly to avoid a startup race.
 	deadline := time.Now().Add(2 * time.Second)
 	for co.healthyCount() != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -123,17 +135,14 @@ func TestCoordinatorNotReadyWithoutBackends(t *testing.T) {
 // TestBreakerTripsUnderSustainedFailure drives one backend's breaker
 // through the full trip → cooldown → half-open → close cycle via the
 // coordinator's own noteOutcome path, and checks the trip counter and
-// state gauge follow along.
+// state gauge follow along. The breaker's clock is a test clock, so the
+// cooldown elapses without sleeping.
 func TestBreakerTripsUnderSustainedFailure(t *testing.T) {
 	n := startNode(t, 1, nil)
-	co, _ := startCoordinator(t, Config{
-		Backends:          []string{n.ts.URL},
-		BreakerWindow:     8,
-		BreakerMinSamples: 4,
-		BreakerTrip:       0.5,
-		BreakerCooldown:   30 * time.Millisecond,
-	})
+	co, _ := startCoordinator(t, Config{Backends: []string{n.ts.URL}})
 	b := co.backends[0]
+	clock := time.Now()
+	b.brk.now = func() time.Time { return clock }
 	for i := 0; i < 4; i++ {
 		co.noteOutcome(b, false)
 	}
@@ -152,7 +161,11 @@ func TestBreakerTripsUnderSustainedFailure(t *testing.T) {
 		t.Errorf("state gauge not open:\n%s", grepProm(prom.String(), "breaker"))
 	}
 
-	time.Sleep(40 * time.Millisecond) // cooldown elapses
+	clock = clock.Add(breakerCooldown - time.Nanosecond)
+	if b.brk.allow() {
+		t.Fatal("open breaker admitted an attempt before cooldown")
+	}
+	clock = clock.Add(time.Nanosecond) // cooldown elapses
 	if !b.brk.allow() {
 		t.Fatal("breaker still blocking after cooldown (should half-open)")
 	}
@@ -186,7 +199,7 @@ func TestPickBackendSkipsTrippedAndStragglers(t *testing.T) {
 
 	// Mark backend 1 a straggler (slow EWMA vs backend 0): with backend
 	// 0's breaker closed again, shard 1 should skip the straggler.
-	co.backends[0].brk = newBreaker(16, 0.5, 4, 2*time.Second)
+	co.backends[0].brk = newBreaker()
 	seedEWMA(co.backends[0], 0.01)
 	seedEWMA(co.backends[1], 0.5)
 	if got := co.pickBackend(1, 0, nil); got != co.backends[0] {

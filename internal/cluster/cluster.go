@@ -65,11 +65,9 @@ type Config struct {
 	// Hedge attempts do not consume the budget — a hedge is a speculative
 	// duplicate, not a retry.
 	ShardAttempts int
-	// HealthInterval is the backend /readyz polling period (default 250ms).
-	HealthInterval time.Duration
-	// HealthTimeout bounds one /readyz probe (default 2s). It is clamped
-	// below HealthInterval — a probe outliving its polling period would
-	// pile up requests against the very node that is struggling.
+	// HealthTimeout bounds one /readyz probe (default and cap: 9/10 of
+	// the 250ms polling period). A probe outliving its period would pile
+	// up requests against the very node that is struggling.
 	HealthTimeout time.Duration
 	// DisableHedging turns speculative shard duplication off. With
 	// hedging on (the default), a shard still unanswered after
@@ -80,26 +78,11 @@ type Config struct {
 	// HedgeDelay is the wait before hedging a shard (default adaptive:
 	// 2× the observed p95 shard wall time, clamped to [200ms, 5s]).
 	HedgeDelay time.Duration
-	// DisableBreakers turns per-backend circuit breakers off.
-	DisableBreakers bool
-	// BreakerWindow, BreakerTrip, BreakerMinSamples and BreakerCooldown
-	// shape the per-backend breaker (defaults: 16 outcomes, trip at 50%
-	// failures over at least 4 samples, 2s cooldown before half-open).
-	BreakerWindow     int
-	BreakerTrip       float64
-	BreakerMinSamples int
-	BreakerCooldown   time.Duration
-	// StragglerFactor declares a backend a straggler when its smoothed
-	// shard wall time exceeds the fleet's fastest by this factor (default
-	// 2.5×); stragglers are deprioritized by shard placement while they
-	// lag, without being marked unhealthy.
-	StragglerFactor float64
-	// QueueDepth, MaxConcurrentJobs, MaxShots and MaxRetainedJobs size
-	// the embedded admission server exactly as in server.Config.
+	// QueueDepth, MaxConcurrentJobs and MaxShots size the embedded
+	// admission server exactly as in server.Config.
 	QueueDepth        int
 	MaxConcurrentJobs int
 	MaxShots          int
-	MaxRetainedJobs   int
 	// ClientOptions configures each backend's client (timeouts, retry
 	// budgets). The default keeps submission retries short so failover
 	// moves to another node quickly. The coordinator always installs its
@@ -115,6 +98,15 @@ type Config struct {
 	CheckpointShots int
 }
 
+// healthInterval is the backend /readyz polling period.
+const healthInterval = 250 * time.Millisecond
+
+// stragglerFactor declares a backend a straggler when its smoothed shard
+// wall time exceeds the fleet's fastest by this factor; stragglers are
+// deprioritized by shard placement while they lag, without being marked
+// unhealthy.
+const stragglerFactor = 2.5
+
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = len(c.Backends)
@@ -122,34 +114,10 @@ func (c Config) withDefaults() Config {
 	if c.ShardAttempts == 0 {
 		c.ShardAttempts = 3
 	}
-	if c.HealthInterval == 0 {
-		c.HealthInterval = 250 * time.Millisecond
-	}
-	if c.HealthTimeout == 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
-	if c.HealthTimeout >= c.HealthInterval {
+	if c.HealthTimeout == 0 || c.HealthTimeout >= healthInterval {
 		// Clamp below the polling period: a slow probe must fail before
 		// the next one starts, or probes pile up against a sick node.
-		c.HealthTimeout = c.HealthInterval * 9 / 10
-		if c.HealthTimeout < time.Millisecond {
-			c.HealthTimeout = time.Millisecond
-		}
-	}
-	if c.BreakerWindow == 0 {
-		c.BreakerWindow = 16
-	}
-	if c.BreakerTrip == 0 {
-		c.BreakerTrip = 0.5
-	}
-	if c.BreakerMinSamples == 0 {
-		c.BreakerMinSamples = 4
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.StragglerFactor == 0 {
-		c.StragglerFactor = 2.5
+		c.HealthTimeout = healthInterval * 9 / 10
 	}
 	return c
 }
@@ -245,12 +213,10 @@ func New(cfg Config) (*Coordinator, error) {
 		QueueDepth:        cfg.QueueDepth,
 		MaxConcurrentJobs: cfg.MaxConcurrentJobs,
 		MaxShots:          cfg.MaxShots,
-		MaxRetainedJobs:   cfg.MaxRetainedJobs,
 		Executor:          c.execute,
 		Store:             cfg.Store,
 		CheckpointShots:   cfg.CheckpointShots,
 		ReadyCheck:        c.fleetServes,
-		AdmissionGate:     c.fleetServes,
 	})
 	reg := c.srv.Registry()
 	c.m = metrics{
@@ -271,7 +237,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for i, base := range cfg.Backends {
 		b := &backend{
 			index:        i,
-			brk:          newBreaker(cfg.BreakerWindow, cfg.BreakerTrip, cfg.BreakerMinSamples, cfg.BreakerCooldown),
+			brk:          newBreaker(),
 			shardSeconds: reg.Histogram(fmt.Sprintf("artery_cluster_backend%d_shard_seconds", i), fmt.Sprintf("shard wall time on backend %d (%s)", i, base), trace.DefaultJobSecondsBuckets()),
 			shardsServed: reg.Counter(fmt.Sprintf("artery_cluster_backend%d_shards_total", i), fmt.Sprintf("shards completed by backend %d (%s)", i, base)),
 			attempts:     reg.Counter(fmt.Sprintf("artery_cluster_backend%d_attempts_total", i), fmt.Sprintf("shard attempts dispatched to backend %d (%s)", i, base)),
@@ -294,7 +260,7 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: backend %d: %w", i, err)
 		}
 		b.cl = cl
-		b.base = cl.Endpoints()[0]
+		b.base = cl.Base()
 		b.healthy.Store(true) // optimistic until the first poll
 		c.backends = append(c.backends, b)
 	}
@@ -346,7 +312,7 @@ func (c *Coordinator) fleetServes() error {
 // polling period after boot.
 func (c *Coordinator) healthLoop(b *backend) {
 	defer c.healthWG.Done()
-	t := time.NewTicker(c.cfg.HealthInterval)
+	t := time.NewTicker(healthInterval)
 	defer t.Stop()
 	for {
 		c.probe(b)
@@ -388,9 +354,6 @@ func (c *Coordinator) healthyCount() int {
 // noteOutcome records an attempt outcome into a backend's breaker and
 // refreshes the breaker gauges.
 func (c *Coordinator) noteOutcome(b *backend, ok bool) {
-	if c.cfg.DisableBreakers {
-		return
-	}
 	if b.brk.record(ok) {
 		c.m.breakerTrips.Inc()
 	}
@@ -407,11 +370,6 @@ func (c *Coordinator) refreshBreakerGauges() {
 		}
 	}
 	c.m.breakersOpen.Set(float64(open))
-}
-
-// breakerAllows reports whether placement may use a backend.
-func (c *Coordinator) breakerAllows(b *backend) bool {
-	return c.cfg.DisableBreakers || b.brk.allow()
 }
 
 // straggling reports whether a backend's smoothed shard wall time lags
@@ -436,7 +394,7 @@ func (c *Coordinator) straggling(b *backend) bool {
 	if math.IsInf(best, 1) {
 		return false
 	}
-	return mine > c.cfg.StragglerFactor*best && mine > best+0.05
+	return mine > stragglerFactor*best && mine > best+0.05
 }
 
 // pickBackend places a shard attempt: shards start round-robin by index
@@ -453,7 +411,7 @@ func (c *Coordinator) pickBackend(shardIdx, attempt int, exclude *backend) *back
 	var fallback *backend
 	for off := 0; off < n; off++ {
 		b := c.backends[(start+off)%n]
-		if b == exclude || !b.healthy.Load() || !c.breakerAllows(b) {
+		if b == exclude || !b.healthy.Load() || !b.brk.allow() {
 			continue
 		}
 		if c.straggling(b) {

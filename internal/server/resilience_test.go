@@ -145,15 +145,14 @@ func TestRetryAfterEstimate(t *testing.T) {
 	}
 }
 
-// TestReadyCheckAndAdmissionGate: the two coordinator seams — /readyz
-// turns 503 when ReadyCheck errors, and AdmissionGate sheds submissions
+// TestReadyCheckAndAdmissionGate: the coordinator's one readiness seam —
+// while ReadyCheck errors, /readyz turns 503 and submissions are shed
 // with 503 plus the shed counter.
 func TestReadyCheckAndAdmissionGate(t *testing.T) {
 	gateErr := error(nil)
 	s := New(Config{
 		QueueDepth: 4, MaxConcurrentJobs: 1,
-		ReadyCheck:    func() error { return gateErr },
-		AdmissionGate: func() error { return gateErr },
+		ReadyCheck: func() error { return gateErr },
 	})
 	s.Start()
 	ts := httptest.NewServer(s.Handler())

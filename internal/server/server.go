@@ -59,16 +59,12 @@ type Config struct {
 	// oldest terminal jobs are evicted, keeping server memory bounded
 	// under sustained traffic (default 1024).
 	MaxRetainedJobs int
-	// ReadyCheck, when set, adds a readiness predicate to /readyz beyond
-	// "accepting": a non-nil error answers 503 with the error text. The
-	// coordinator uses it to report not-ready while zero backends are
+	// ReadyCheck, when set, is a readiness predicate beyond "accepting":
+	// while it returns an error, /readyz answers 503 with the error text
+	// and every submission is shed with a 503 instead of queueing work
+	// that cannot run. The coordinator uses it while zero backends are
 	// healthy, so load balancers drain a cluster that cannot serve.
 	ReadyCheck func() error
-	// AdmissionGate, when set, is consulted before every submission is
-	// admitted: a non-nil error sheds the request with a 503 instead of
-	// queueing work that cannot run (the coordinator sheds while zero
-	// backends are healthy).
-	AdmissionGate func() error
 	// Executor, when set, replaces the built-in local engine executor:
 	// the dispatcher pool invokes it for every job pulled off the queue,
 	// and it must drive the job to a terminal state (Complete or Fail)
@@ -480,8 +476,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	if s.cfg.AdmissionGate != nil {
-		if gerr := s.cfg.AdmissionGate(); gerr != nil {
+	if s.cfg.ReadyCheck != nil {
+		if gerr := s.cfg.ReadyCheck(); gerr != nil {
 			s.m.shed.Inc()
 			writeError(w, http.StatusServiceUnavailable, gerr.Error(), 0)
 			return

@@ -1,10 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -145,42 +142,18 @@ func (s *Store) scanSegment(idx int, last bool, apply func(loc, record)) error {
 		}
 		return fmt.Errorf("store: segment %s: bad magic header", path)
 	}
-	off := int64(headerLen)
-	for off < int64(len(data)) {
-		bad := ""
-		var payload []byte
-		if int64(len(data))-off < frameLen {
-			bad = "short frame"
-		} else {
-			n := binary.LittleEndian.Uint32(data[off : off+4])
-			crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-			switch {
-			case n > maxPayload:
-				bad = fmt.Sprintf("implausible payload length %d", n)
-			case off+frameLen+int64(n) > int64(len(data)):
-				bad = "truncated payload"
-			default:
-				payload = data[off+frameLen : off+frameLen+int64(n)]
-				if crc32.Checksum(payload, castagnoli) != crc {
-					bad = "CRC mismatch"
-				}
-			}
-		}
-		var rec record
-		if bad == "" {
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				bad = fmt.Sprintf("undecodable payload: %v", err)
-			}
-		}
-		if bad != "" {
+	off := headerLen
+	for off < len(data) {
+		rec, n, err := decodeFrame(data[off:])
+		if err != nil {
 			if !last {
-				return fmt.Errorf("store: segment %s: %s at offset %d (corruption in a sealed segment)", path, bad, off)
+				return fmt.Errorf("store: segment %s: %v at offset %d (corruption in a sealed segment)", path, err, off)
 			}
 			s.truncatedTails++
-			return os.Truncate(path, off)
+			return os.Truncate(path, int64(off))
 		}
-		apply(loc{seg: idx, off: off, n: int32(frameLen + len(payload))}, rec)
-		off += frameLen + int64(len(payload))
+		apply(loc{seg: idx, off: int64(off), n: int32(n)}, rec)
+		off += n
 	}
 	return nil
 }

@@ -58,6 +58,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -587,10 +588,16 @@ func (s *Store) Events(id string, from int) ([]api.ShotEvent, error) {
 	}
 	locs := append([]loc(nil), js.events[from:]...)
 	s.mu.Unlock()
+	return s.readEvents(locs)
+}
 
+// readEvents reads the event records at locs, in order. Events calls it
+// on a snapshot of a job's locations; compaction calls it holding mu,
+// with appends frozen so no location can move underneath.
+func (s *Store) readEvents(locs []loc) ([]api.ShotEvent, error) {
 	out := make([]api.ShotEvent, 0, len(locs))
 	var f *os.File
-	var fSeg = -1
+	fSeg := -1
 	defer func() {
 		if f != nil {
 			f.Close()
@@ -608,9 +615,16 @@ func (s *Store) Events(id string, from int) ([]api.ShotEvent, error) {
 			}
 			fSeg = l.seg
 		}
-		rec, err := readFrameAt(f, l)
+		buf := make([]byte, l.n)
+		if _, err := f.ReadAt(buf, l.off); err != nil {
+			return nil, fmt.Errorf("store: read: %w", err)
+		}
+		rec, n, err := decodeFrame(buf)
+		if err == nil && n != len(buf) {
+			err = errors.New("frame length mismatch")
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("store: %v at segment %d offset %d", err, l.seg, l.off)
 		}
 		if rec.T != "ev" || rec.Ev == nil {
 			return nil, fmt.Errorf("store: record at segment %d offset %d is %q, want ev", l.seg, l.off, rec.T)
@@ -620,26 +634,33 @@ func (s *Store) Events(id string, from int) ([]api.ShotEvent, error) {
 	return out, nil
 }
 
-// readFrameAt reads and verifies one framed record at a known location.
-func readFrameAt(f *os.File, l loc) (record, error) {
-	buf := make([]byte, l.n)
-	if _, err := f.ReadAt(buf, l.off); err != nil {
-		return record{}, fmt.Errorf("store: read: %w", err)
+// decodeFrame verifies and decodes the frame at the start of b: its
+// length against maxPayload and the bytes present, the CRC32C of its
+// payload, and the payload's JSON. It returns the record and the
+// frame's size on disk. The recovery scan and every read of a journaled
+// event decode through it.
+func decodeFrame(b []byte) (record, int, error) {
+	if len(b) < frameLen {
+		return record{}, 0, errors.New("short frame")
 	}
-	n := binary.LittleEndian.Uint32(buf[0:4])
-	if int(n) != len(buf)-frameLen {
-		return record{}, fmt.Errorf("store: frame length mismatch at offset %d", l.off)
+	n := binary.LittleEndian.Uint32(b[0:4])
+	crc := binary.LittleEndian.Uint32(b[4:8])
+	if n > maxPayload {
+		return record{}, 0, fmt.Errorf("implausible payload length %d", n)
 	}
-	crc := binary.LittleEndian.Uint32(buf[4:8])
-	payload := buf[frameLen:]
+	size := frameLen + int(n)
+	if size > len(b) {
+		return record{}, 0, errors.New("truncated payload")
+	}
+	payload := b[frameLen:size]
 	if crc32.Checksum(payload, castagnoli) != crc {
-		return record{}, fmt.Errorf("store: CRC mismatch at offset %d", l.off)
+		return record{}, 0, errors.New("CRC mismatch")
 	}
 	var rec record
 	if err := json.Unmarshal(payload, &rec); err != nil {
-		return record{}, fmt.Errorf("store: decode: %w", err)
+		return record{}, 0, fmt.Errorf("undecodable payload: %v", err)
 	}
-	return rec, nil
+	return rec, size, nil
 }
 
 // Compact drops the oldest terminal jobs beyond the retention bound,
@@ -682,7 +703,7 @@ func (s *Store) compactLocked() error {
 		}
 		keep = append(keep, id)
 		js := s.jobs[id]
-		events, err := s.readEventsLocked(js)
+		events, err := s.readEvents(js.events)
 		if err != nil {
 			return err
 		}
@@ -729,38 +750,6 @@ func (s *Store) compactLocked() error {
 	s.order = keep
 	s.m.compactions.Inc()
 	return nil
-}
-
-// readEventsLocked reads a job's events while holding mu (compaction
-// path — appends are frozen, so locations cannot move underneath).
-func (s *Store) readEventsLocked(js *jobState) ([]api.ShotEvent, error) {
-	out := make([]api.ShotEvent, 0, len(js.events))
-	var f *os.File
-	fSeg := -1
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	for _, l := range js.events {
-		if l.seg != fSeg {
-			if f != nil {
-				f.Close()
-			}
-			var err error
-			f, err = os.Open(s.segPath(l.seg))
-			if err != nil {
-				return nil, fmt.Errorf("store: %w", err)
-			}
-			fSeg = l.seg
-		}
-		rec, err := readFrameAt(f, l)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *rec.Ev)
-	}
-	return out, nil
 }
 
 // RecoveredJobs reports how many jobs the opening scan rebuilt.

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,7 +40,7 @@ func testEvent(shot int) api.ShotEvent {
 	}
 }
 
-func openStore(t *testing.T, cfg Config) *Store {
+func openStore(t testing.TB, cfg Config) *Store {
 	t.Helper()
 	s, err := Open(cfg)
 	if err != nil {
@@ -49,7 +51,7 @@ func openStore(t *testing.T, cfg Config) *Store {
 
 // journalJob writes one job with n events (and optionally a terminal
 // record) through the public API.
-func journalJob(t *testing.T, s *Store, id string, n int, done bool) {
+func journalJob(t testing.TB, s *Store, id string, n int, done bool) {
 	t.Helper()
 	if err := s.JobSubmitted(id, testReq(n)); err != nil {
 		t.Fatalf("JobSubmitted(%s): %v", id, err)
@@ -461,6 +463,96 @@ func TestEventsUnknownJob(t *testing.T) {
 	}
 }
 
+// TestDecodeFrame pins each check of the one frame decoder that the
+// recovery scan and every event read go through.
+func TestDecodeFrame(t *testing.T) {
+	ev := testEvent(3)
+	good, err := frame(record{T: "ev", ID: "job-1", Ev: &ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func(b []byte) []byte { return append([]byte(nil), b...) }
+	oversized := clone(good)
+	binary.LittleEndian.PutUint32(oversized[0:4], maxPayload+1)
+	flipped := clone(good)
+	flipped[len(flipped)-2] ^= 0x01
+	garbage := []byte("{not json")
+	badJSON := make([]byte, frameLen+len(garbage))
+	binary.LittleEndian.PutUint32(badJSON[0:4], uint32(len(garbage)))
+	binary.LittleEndian.PutUint32(badJSON[4:8], crc32.Checksum(garbage, castagnoli))
+	copy(badJSON[frameLen:], garbage)
+
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want string // error substring; empty for a good frame
+	}{
+		{"valid", good, ""},
+		{"next-frame-follows", append(clone(good), good...), ""},
+		{"short-header", good[:frameLen-1], "short frame"},
+		{"implausible-length", oversized, "implausible payload length"},
+		{"truncated-payload", good[:len(good)-1], "truncated payload"},
+		{"crc-mismatch", flipped, "CRC mismatch"},
+		{"undecodable-json", badJSON, "undecodable payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, n, err := decodeFrame(tc.b)
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.want)
+				}
+				if n != 0 {
+					t.Fatalf("a rejected frame reported size %d", n)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("good frame rejected: %v", err)
+			}
+			if n != len(good) {
+				t.Fatalf("size = %d, want %d", n, len(good))
+			}
+			if rec.T != "ev" || rec.ID != "job-1" || rec.Ev == nil || !reflect.DeepEqual(*rec.Ev, ev) {
+				t.Fatalf("decoded %+v, want the framed event", rec)
+			}
+		})
+	}
+}
+
+// TestReadEventsRejectsOtherRecords: the event reader shared by Events
+// and compaction accepts only "ev" records, so a location that points at
+// any other record is an error rather than a zero event.
+func TestReadEventsRejectsOtherRecords(t *testing.T) {
+	s := openStore(t, Config{Dir: t.TempDir(), Fsync: FsyncNever})
+	defer s.Close()
+	journalJob(t, s, "job-1", 1, false)
+	data, err := os.ReadFile(s.segPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The segment opens with the job record, then the job's one event.
+	_, jobLen, err := decodeFrame(data[headerLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, evLen, err := decodeFrame(data[headerLen+jobLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobLoc := loc{seg: 1, off: int64(headerLen), n: int32(jobLen)}
+	evLoc := loc{seg: 1, off: int64(headerLen + jobLen), n: int32(evLen)}
+	if _, err := s.readEvents([]loc{jobLoc}); err == nil || !strings.Contains(err.Error(), "want ev") {
+		t.Fatalf("job record read as an event: err = %v", err)
+	}
+	events, err := s.readEvents([]loc{evLoc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := testEvent(0); len(events) != 1 || !reflect.DeepEqual(events[0], want) {
+		t.Fatalf("read %+v, want [%+v]", events, want)
+	}
+}
+
 func TestInstrumentCountsAppendsAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, Config{Dir: dir})
@@ -536,4 +628,75 @@ func TestClosedStoreRejectsAppends(t *testing.T) {
 	if err := s.ShotEvent("job-1", testEvent(1)); err == nil {
 		t.Error("append after Close succeeded")
 	}
+}
+
+// FuzzRecoverSegment writes arbitrary bytes after the magic header of a
+// journal's only segment and opens the store. Open must not panic, nor
+// fail: a bad frame in the final segment is a torn tail, truncated
+// away. Every recovered event must read back through the frame decoder,
+// so no frame whose CRC fails is indexed; and a second Open of the same
+// directory must rebuild the same job table with no tail to truncate.
+func FuzzRecoverSegment(f *testing.F) {
+	dir := f.TempDir()
+	s := openStore(f, Config{Dir: dir, Fsync: FsyncNever})
+	journalJob(f, s, "job-1", 2, false)
+	if err := s.Checkpoint("job-1", 2); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Terminal("job-1", "done", "", &api.Result{Workload: "QRW-4", Shots: 2}); err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	path := filepath.Join(dir, "segment-00000001.wal")
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := seg[headerLen:]
+	f.Add(body)
+	f.Add(body[:len(body)-5])
+	flipped := append([]byte(nil), body...)
+	flipped[len(flipped)/2] ^= 0x01
+	f.Add(flipped)
+	f.Add([]byte{})
+
+	// Executions within one fuzzing process run one at a time, so they
+	// share the directory: each rewrites the only segment before opening.
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := os.WriteFile(path, append([]byte(segMagic), body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Config{Dir: dir, Fsync: FsyncNever})
+		if err != nil {
+			t.Fatalf("Open over a damaged final segment: %v", err)
+		}
+		jobs := s.Jobs()
+		for _, j := range jobs {
+			events, err := s.Events(j.ID, 0)
+			if err != nil {
+				t.Fatalf("job %q: recovered event does not read back: %v", j.ID, err)
+			}
+			if len(events) != j.Events {
+				t.Fatalf("job %q: %d events read back, %d indexed", j.ID, len(events), j.Events)
+			}
+			for i := 1; i < len(events); i++ {
+				if events[i].Shot <= events[i-1].Shot {
+					t.Fatalf("job %q: event %d has shot %d after shot %d", j.ID, i, events[i].Shot, events[i-1].Shot)
+				}
+			}
+		}
+		s.Close()
+
+		again, err := Open(Config{Dir: dir, Fsync: FsyncNever})
+		if err != nil {
+			t.Fatalf("second Open: %v", err)
+		}
+		defer again.Close()
+		if n := again.TruncatedTails(); n != 0 {
+			t.Fatalf("second Open truncated %d tails", n)
+		}
+		if got := again.Jobs(); !reflect.DeepEqual(got, jobs) {
+			t.Fatalf("second Open rebuilt another job table\n got %+v\nwant %+v", got, jobs)
+		}
+	})
 }
