@@ -49,8 +49,8 @@ ci: fmt-check tier1
 
 # Short fuzzing pass over the pulse codecs, the compiled-vs-interpreted
 # circuit differential, the QASM parse/serialize round trip, the NDJSON
-# shot-event decoder and the journal's recovery scan (one -fuzz target per
-# invocation, as the go tool requires).
+# shot-event decoder, request admission and the journal's recovery scan
+# (one -fuzz target per invocation, as the go tool requires).
 fuzz-smoke:
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripHuffman$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pulse -run '^$$' -fuzz '^FuzzCodecRoundTripRLE$$' -fuzztime $(FUZZTIME)
@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/circuit -run '^$$' -fuzz '^FuzzQASMRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzBackendVsStateVector$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./api -run '^$$' -fuzz '^FuzzShotEvent$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./api -run '^$$' -fuzz '^FuzzValidateRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzRecoverSegment$$' -fuzztime $(FUZZTIME)
 
 # Statement-coverage floors: cover-PKG tests ./internal/PKG and fails

@@ -162,12 +162,7 @@ type Result struct {
 }
 
 // Stage is one row of the per-stage latency breakdown.
-type Stage struct {
-	Stage   string  `json:"stage"`
-	Count   int     `json:"count"`
-	TotalNs float64 `json:"total_ns"`
-	MeanNs  float64 `json:"mean_ns"`
-}
+type Stage = core.StageLatency
 
 // ShotEvent is one NDJSON line of GET /v1/jobs/{id}/stream: one committed
 // shot, in shot order. Fidelity is null when state simulation is off.
@@ -222,7 +217,7 @@ const CodeEvicted = "evicted"
 
 // ResultFrom converts a finished run's Report to its wire form.
 func ResultFrom(rep artery.Report) *Result {
-	r := &Result{
+	return &Result{
 		Workload:      rep.Workload,
 		Controller:    rep.Controller,
 		Shots:         rep.Shots,
@@ -230,12 +225,9 @@ func ResultFrom(rep artery.Report) *Result {
 		Accuracy:      rep.Accuracy,
 		CommitRate:    rep.CommitRate,
 		Fidelity:      FloatPtr(rep.Fidelity),
+		Stages:        rep.Stages,
 		Canceled:      rep.Canceled,
 	}
-	for _, st := range rep.Stages {
-		r.Stages = append(r.Stages, Stage{Stage: st.Stage, Count: st.Count, TotalNs: st.TotalNs, MeanNs: st.MeanNs})
-	}
-	return r
 }
 
 // EventFrom converts a streaming ShotUpdate to its wire form. withStages

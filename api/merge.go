@@ -7,11 +7,10 @@ import (
 
 // Merger folds a job's per-shot events into its Result through
 // core.Fold, the engine's own merge, so the result bytes equal a single
-// node's by construction. Two subsystems fold through it, in global shot
-// order: the scatter-gather coordinator (internal/cluster), which folds
-// sharded event streams, and the job server (internal/server), which
-// folds a crashed job's journaled event prefix and then every live shot
-// of its continuation (for a fresh job the prefix is empty).
+// node's by construction. One subsystem folds through it, in global shot
+// order: the job server (internal/server), which folds a crashed job's
+// journaled event prefix and then every shot its source emits, local or
+// sharded (for a fresh job the prefix is empty).
 type Merger struct {
 	workload, controller string
 	fold                 core.Fold

@@ -1,8 +1,12 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -133,6 +137,93 @@ func TestValidateRequestBounds(t *testing.T) {
 	if _, err := ValidateRequest(req, 100); err != nil {
 		t.Errorf("dqt with the stabilizer backend and state_sim false rejected: %v", err)
 	}
+}
+
+// TestValidateRequestCapsWorkloadSize checks that admission rejects an
+// oversized workload parameter with the registry's cap error before
+// building the workload: at these sizes the build alone would allocate
+// gigabytes inside the submit handler.
+func TestValidateRequestCapsWorkloadSize(t *testing.T) {
+	for _, req := range []Request{
+		{Workload: "qec", Param: 100000, Shots: 1},
+		{Workload: "qrw", Param: 1 << 30, Shots: 1},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ValidateRequest(req, 1_000_000)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceeds the supported maximum") {
+			t.Fatalf("%s %d: err = %v, want the size cap error", req.Workload, req.Param, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Fatalf("%s %d: rejecting it allocated %d B, want no workload built", req.Workload, req.Param, n)
+		}
+	}
+}
+
+// FuzzValidateRequest feeds arbitrary bytes to admission as the submit
+// handler sees them (a 1 MiB body, unknown fields rejected) under a
+// 1,000,000-shot cap: nothing may panic, and an accepted request must
+// survive the journal's round trip, because recovery re-validates every
+// journaled request. Seeded with the request bodies of the tests, the
+// README and the scripts, plus one accepted body that sets every field.
+func FuzzValidateRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"workload":"qrw","param":3,"shots":20,"seed":1}`,
+		`{"workload":"qrw","param":5,"controller":"ARTERY","shots":6000,"seed":42,"stream_stages":true}`,
+		`{"workload":"qrw","param":5,"shots":100000,"seed":42}`,
+		`{"workload":"qrw","param":5,"shots":500000,"seed":3,"options":{"state_sim":false}}`,
+		`{"workload":"qrw","param":3,"shots":40,"seed":9,"options":{"window_ns":40,"history_depth":5}}`,
+		`{"workload":"qrw","param":3,"shots":50,"shot_offset":60}`,
+		`{"workload":"qrw","param":3,"shots":5,"shot_offset":9223372036854775807}`,
+		`{"workload":"qrw","param":3,"shots":10,"deadline_ms":30}`,
+		`{"workload":"qrw","param":3,"shots":10,"deadline_ms":-5}`,
+		`{"workload":"qrw","param":3,"shots":5,"controller":"nope"}`,
+		`{"workload":"qrw","param":3,"shots":5,"options":{"history_depth":99}}`,
+		`{"workload":"qrw","param":3,"shots":5,"options":{"mode":"nope"}}`,
+		`{"workload":"qrw","param":3,"shots":5,"options":{"theta":1.5}}`,
+		`{"workload":"qrw","param":3,"shots":5,"bogus":1}`,
+		`{"workload":"qrw","param":0,"shots":5}`,
+		`{"workload":"qrw","param":1073741824,"shots":1}`,
+		`{"workload":"nope","param":3,"shots":5}`,
+		`{"workload":"qec","param":1,"shots":40,"seed":5,"options":{"state_sim":false}}`,
+		`{"workload":"qec","param":100000,"shots":1}`,
+		`{"workload":"dqt","param":2,"shots":40,"seed":21,"options":{"state_sim":false,"theta":0.93,"history_depth":6}}`,
+		`{"workload":"dqt","param":2,"shots":8,"options":{"backend":"stabilizer"}}`,
+		`{"workload":"surface","param":3,"shots":30,"seed":9,"options":{"backend":"stabilizer"}}`,
+		`{"workload":"surface","param":5,"controller":"QubiC","shots":2,"shot_offset":3,"stream_stages":true,"deadline_ms":1000,"seed":7,"options":{"window_ns":40,"history_depth":5,"theta":0.93,"mode":"history","state_sim":true,"dynamical_decoupling":true,"quasi_static_sigma":0,"backend":"stabilizer"}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	const maxShots = 1_000_000
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), 1<<20))
+		dec.DisallowUnknownFields()
+		var req Request
+		if dec.Decode(&req) != nil {
+			return
+		}
+		wl, err := ValidateRequest(req, maxShots)
+		if err != nil {
+			return
+		}
+		line, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("encode accepted request %+v: %v", req, err)
+		}
+		var back Request
+		if err := json.Unmarshal(line, &back); err != nil {
+			t.Fatalf("decode journaled request %s: %v", line, err)
+		}
+		wl2, err := ValidateRequest(back, maxShots)
+		if err != nil {
+			t.Fatalf("journaled request %s no longer validates: %v", line, err)
+		}
+		if wl2.Name != wl.Name || wl2.NumFeedback() != wl.NumFeedback() {
+			t.Fatalf("journaled request %s builds %s with %d feedback sites, admission built %s with %d",
+				line, wl2.Name, wl2.NumFeedback(), wl.Name, wl.NumFeedback())
+		}
+	})
 }
 
 // backend returns a request mutation that selects workload name(param)

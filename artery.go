@@ -348,7 +348,7 @@ var controllerRegistry = []struct {
 	make func(s *System) controller.Controller
 }{
 	{"ARTERY", func(s *System) controller.Controller {
-		cfg := predict.Config{Theta0: s.opts.Theta, Theta1: s.opts.Theta, Mode: predict.Mode(s.opts.Mode)}
+		cfg := predict.Config{Theta: s.opts.Theta, Mode: predict.Mode(s.opts.Mode)}
 		return controller.NewArtery(controller.DefaultUnits(), s.topo, predict.New(cfg, s.channel))
 	}},
 	{"QubiC", func(s *System) controller.Controller {
@@ -574,7 +574,7 @@ func (s *System) Compare(wl *Workload, shots int) []Report {
 // Figure 15 (a) view of one shot. prior is the site's historical branch-1
 // probability.
 func (s *System) PredictShot(state int, prior float64) ShotTrace {
-	cfg := predict.Config{Theta0: s.opts.Theta, Theta1: s.opts.Theta, Mode: predict.Mode(s.opts.Mode)}
+	cfg := predict.Config{Theta: s.opts.Theta, Mode: predict.Mode(s.opts.Mode)}
 	p := predict.New(cfg, s.channel)
 	r := s.channel.Read(state, s.rng, nil, nil, nil)
 	d := p.Predict(r, prior, nil)

@@ -1,9 +1,11 @@
 // Package cluster is the scatter-gather coordinator for multi-node
-// arteryd: it serves the same /v1/jobs API as a single arteryd, but
-// executes each job by splitting its shots into contiguous ranges,
-// dispatching every range to one of N backend arteryd nodes as a
-// shot-offset job (api.Request.ShotOffset), and merging the returned
-// per-shot event streams in global shot order.
+// arteryd: it serves the same /v1/jobs API as a single arteryd, through an
+// embedded internal/server.Server whose shot source it replaces. The
+// source splits the range it is asked for into contiguous shards,
+// dispatches every shard to one of N backend arteryd nodes as a
+// shot-offset job (api.Request.ShotOffset), and emits the returned
+// per-shot events in global shot order. The server folds, journals,
+// streams and settles the job, exactly as for local shots.
 //
 // Because per-shot RNG streams are drawn by global index (prefix-stable
 // stats.RNG.SplitN) and every aggregate in a result is a replayable fold
@@ -93,7 +95,7 @@ type Config struct {
 	// coordinator journals accepted jobs and merged events, serves
 	// finished jobs from disk across restarts, and resumes interrupted
 	// jobs by re-sharding only the range past the last durable merged
-	// shot (see execute).
+	// shot (see source).
 	Store           *store.Store
 	CheckpointShots int
 }
@@ -173,7 +175,6 @@ type metrics struct {
 	shardsRetried    *trace.Counter
 	shardsFailedOver *trace.Counter
 	shardsFailed     *trace.Counter
-	shotsMerged      *trace.Counter
 	hedges           *trace.Counter
 	hedgeWins        *trace.Counter
 	breakerTrips     *trace.Counter
@@ -213,7 +214,7 @@ func New(cfg Config) (*Coordinator, error) {
 		QueueDepth:        cfg.QueueDepth,
 		MaxConcurrentJobs: cfg.MaxConcurrentJobs,
 		MaxShots:          cfg.MaxShots,
-		Executor:          c.execute,
+		Source:            c.source,
 		Store:             cfg.Store,
 		CheckpointShots:   cfg.CheckpointShots,
 		ReadyCheck:        c.fleetServes,
@@ -224,7 +225,6 @@ func New(cfg Config) (*Coordinator, error) {
 		shardsRetried:    reg.Counter("artery_cluster_shards_retried_total", "shard dispatches after a failed attempt"),
 		shardsFailedOver: reg.Counter("artery_cluster_shards_failed_over_total", "shard retries that moved to a different backend"),
 		shardsFailed:     reg.Counter("artery_cluster_shards_failed_total", "shards that exhausted their attempt budget"),
-		shotsMerged:      reg.Counter("artery_cluster_shots_merged_total", "per-shot events merged across all jobs"),
 		hedges:           reg.Counter("artery_cluster_hedges_total", "speculative duplicate shard dispatches after the hedge delay"),
 		hedgeWins:        reg.Counter("artery_cluster_hedge_wins_total", "shards whose hedge attempt finished first"),
 		breakerTrips:     reg.Counter("artery_cluster_breaker_trips_total", "circuit-breaker transitions to open"),

@@ -9,8 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"artery"
 	"artery/api"
-	"artery/internal/server"
 )
 
 // errDeterminism marks the one unrecoverable shard failure: two attempts
@@ -120,50 +120,26 @@ func (s *shard) finish(err error) {
 	s.mu.Unlock()
 }
 
-// execute is the coordinator's job executor (server.Config.Executor):
-// scatter the job's shot range over the backends, gather the per-shot
-// event streams, merge them in global shot order, and drive the job to
-// its terminal state. Honors ctx: a drain — or an expired DeadlineMs,
-// which the embedded server turns into a context deadline — completes
-// the job with the deterministic merged prefix, exactly like a drained
-// single node.
-//
-// A job recovered from the journal mid-run carries a merged-event prefix
-// (see server.Job.Prefix): the fold is seeded with the prefix and only
-// the unmerged remainder [offset+k, offset+shots) is sharded out, so a
-// restarted coordinator resumes every shard at the job's last durable
-// merged shot instead of re-running the range from shot 0. Because
-// per-shot RNG streams are drawn by global index, the re-sharded
-// remainder recombines with the journaled prefix byte-identically to an
-// uninterrupted single-node run.
-func (c *Coordinator) execute(ctx context.Context, j *server.Job) {
-	req := j.Req
-	agg := api.NewMerger(req, j.Workload())
-	prefix := j.Prefix()
-	for _, ev := range prefix {
-		if err := agg.Add(ev); err != nil {
-			j.Fail(fmt.Sprintf("cluster: journaled prefix: %v", err))
-			return
-		}
-	}
-	lo := req.ShotOffset + len(prefix)
-	remaining := req.Shots - len(prefix)
-	if remaining <= 0 {
-		// The journal already holds every merged shot; only the terminal
-		// record was lost to the crash.
-		j.Complete(agg.Result(false))
-		return
-	}
+// source is the coordinator's shot source (server.Config.Source): split
+// the global range [lo, lo+shots) into contiguous shards, dispatch each
+// to a backend, and gather their per-shot event streams in global shot
+// order. The embedded server folds the journaled prefix, asks for only
+// the remainder, and journals and settles the job, so a restarted
+// coordinator re-shards just the range past the last durable merged shot.
+// Honors ctx: a drain — or an expired DeadlineMs, which the embedded
+// server turns into a context deadline — stops with the deterministic
+// merged prefix, exactly like a drained single node.
+func (c *Coordinator) source(ctx context.Context, req api.Request, _ *artery.Workload, lo, shots int, emit func(artery.ShotUpdate)) (canceled bool, err error) {
 	shards := make([]*shard, 0, c.cfg.Shards)
-	for i, r := range splitRange(lo, remaining, c.cfg.Shards) {
+	for i, r := range splitRange(lo, shots, c.cfg.Shards) {
 		shards = append(shards, newShard(i, r))
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // stop in-flight shard streams once the job settles
+	defer cancel() // stop in-flight shard streams once the range settles
 	for _, sh := range shards {
 		go c.runShard(ctx, req, sh)
 	}
-	c.gather(ctx, j, agg, shards)
+	return gather(ctx, shards, emit)
 }
 
 // runShard drives one shard to completion: dispatch to a backend (with a
@@ -387,21 +363,21 @@ func (c *Coordinator) tryShard(ctx context.Context, b *backend, req api.Request,
 }
 
 // gather is the merge path: consume shard buffers strictly in shard
-// order (global shot order), fold every event into the merger, and
-// append it to the job's own event log (journaling it, when a store is
-// configured, via AppendFull). One goroutine, exactly like the
-// single-node engine's merge path — which is why the fold reproduces the
-// single-node result bit-for-bit.
-func (c *Coordinator) gather(ctx context.Context, j *server.Job, agg *api.Merger, shards []*shard) {
+// order (global shot order), decode every event, and emit it. One
+// goroutine, exactly like the single-node engine's merge path — which is
+// why the server's fold reproduces the single-node result bit-for-bit.
+// After a shard's last event it waits for the shard's terminal record:
+// the range must not settle (and cancel the shard streams) before every
+// shard's attempt has been recorded against its backend.
+func gather(ctx context.Context, shards []*shard, emit func(artery.ShotUpdate)) (canceled bool, err error) {
 	for _, sh := range shards {
-		consumed := 0
-		for consumed < sh.rng.Hi-sh.rng.Lo {
+		size := sh.rng.Hi - sh.rng.Lo
+		for consumed := 0; ; {
 			if ctx.Err() != nil {
-				j.Complete(agg.Result(true))
-				return
+				return true, nil
 			}
 			sh.mu.Lock()
-			if idx := consumed - sh.base; idx >= 0 && idx < len(sh.events) {
+			if idx := consumed - sh.base; consumed < size && idx >= 0 && idx < len(sh.events) {
 				ev := sh.events[idx]
 				// Trim the merged prefix; append's reallocations drop the
 				// dead head, so the buffer holds only the unmerged window.
@@ -409,50 +385,31 @@ func (c *Coordinator) gather(ctx context.Context, j *server.Job, agg *api.Merger
 				sh.base = consumed + 1
 				sh.mu.Unlock()
 				consumed++
-				if err := agg.Add(ev); err != nil {
-					j.Fail(err.Error())
-					return
+				u, err := api.ShotFrom(ev)
+				if err != nil {
+					return false, err
 				}
-				c.m.shotsMerged.Inc()
-				j.AppendFull(ev)
+				emit(u)
 				continue
 			}
-			if sh.err != nil {
-				err := sh.err
+			if consumed == size && sh.done {
+				sh.mu.Unlock()
+				break
+			}
+			if err := sh.err; err != nil {
 				sh.mu.Unlock()
 				if err == context.Canceled || ctx.Err() != nil {
-					j.Complete(agg.Result(true))
-					return
+					return true, nil
 				}
-				j.Fail(err.Error())
-				return
+				return false, err
 			}
 			wait := sh.notify
 			sh.mu.Unlock()
 			select {
 			case <-wait:
 			case <-ctx.Done():
-				j.Complete(agg.Result(true))
-				return
 			}
 		}
-		// The last event lands in the buffer before finish() records the
-		// shard's outcome, so wait for the terminal record: the job must
-		// not settle (and cancel the shard streams) before every shard's
-		// attempt has been recorded against its backend.
-		sh.mu.Lock()
-		for !sh.done {
-			wait := sh.notify
-			sh.mu.Unlock()
-			select {
-			case <-wait:
-			case <-ctx.Done():
-				j.Complete(agg.Result(true))
-				return
-			}
-			sh.mu.Lock()
-		}
-		sh.mu.Unlock()
 	}
-	j.Complete(agg.Result(false))
+	return false, nil
 }

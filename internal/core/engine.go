@@ -215,12 +215,14 @@ type ShotResult struct {
 
 // StageLatency is one row of the per-stage latency breakdown table: how
 // often a pipeline stage occurred across the run's feedback outcomes and
-// how many nanoseconds it consumed. Stage names follow trace.Stage.
+// how many nanoseconds it consumed. Stage names follow trace.Stage. The
+// JSON tags are the wire form of a job result's and an exported table's
+// stage rows.
 type StageLatency struct {
-	Stage   string
-	Count   int
-	TotalNs float64
-	MeanNs  float64
+	Stage   string  `json:"stage"`
+	Count   int     `json:"count"`
+	TotalNs float64 `json:"total_ns"`
+	MeanNs  float64 `json:"mean_ns"`
 }
 
 // RunResult aggregates a workload run.

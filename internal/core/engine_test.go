@@ -206,7 +206,7 @@ func TestMispredictionChurnReducesFidelity(t *testing.T) {
 	// Force frequent mispredictions with a hostile prior and loose
 	// thresholds; the recovery gate churn plus the longer latency must cost
 	// fidelity relative to well-seeded prediction.
-	cfg := predict.Config{Theta0: 0.52, Theta1: 0.52, Mode: predict.ModeHistory}
+	cfg := predict.Config{Theta: 0.52, Mode: predict.ModeHistory}
 	pBad := predict.New(cfg, testChannel)
 	bad := controller.NewArtery(controller.DefaultUnits(), testTopo, pBad)
 	bad.PriorWeight = 1e6

@@ -73,7 +73,7 @@ func (s *Suite) ExtraLatencyBudget() *Table {
 // predictorQuality measures committed accuracy and mean decision time of a
 // combined predictor over a fresh balanced test set on the given channel.
 func (s *Suite) predictorQuality(ch *readout.Channel, shots int, salt uint64) (acc, meanNs float64, commitRate float64) {
-	p := predict.New(predict.Config{Theta0: 0.91, Theta1: 0.91, Mode: predict.ModeCombined}, ch)
+	p := predict.New(predict.Config{Theta: 0.91, Mode: predict.ModeCombined}, ch)
 	rng := stats.NewRNG(s.Seed + salt)
 	committed, correct := 0, 0
 	var t stats.RunningMean

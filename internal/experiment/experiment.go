@@ -37,17 +37,7 @@ type Table struct {
 	// Stages optionally carries the machine-readable per-stage latency
 	// breakdown behind the table (exported as the "stages" field of the
 	// schema-version-2 JSON form; empty for tables without one).
-	Stages []StageRow
-}
-
-// StageRow is one row of a table's supplementary per-stage latency
-// breakdown: a feedback pipeline stage, its occurrence count over the
-// run's feedback outcomes, and the nanoseconds it consumed.
-type StageRow struct {
-	Stage   string  `json:"stage"`
-	Count   int     `json:"count"`
-	TotalNs float64 `json:"total_ns"`
-	MeanNs  float64 `json:"mean_ns"`
+	Stages []core.StageLatency
 }
 
 // AddRow appends a formatted row.
@@ -213,7 +203,7 @@ func (s *Suite) arteryEngine(mode predict.Mode, theta float64) *core.Engine {
 }
 
 func (s *Suite) arteryEngineOn(ch *readout.Channel, mode predict.Mode, theta float64) *core.Engine {
-	cfg := predict.Config{Theta0: theta, Theta1: theta, Mode: mode}
+	cfg := predict.Config{Theta: theta, Mode: mode}
 	ctrl := controller.NewArtery(controller.DefaultUnits(), s.topo, predict.New(cfg, ch))
 	e := core.NewEngine(ctrl, ch, nil)
 	e.SimulateState = false

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"artery/internal/core"
 )
 
 // One small shared suite: channel calibration dominates setup cost, and
@@ -475,7 +477,7 @@ func TestTableCSVExport(t *testing.T) {
 func TestTableJSONRoundTrip(t *testing.T) {
 	staged := &Table{ID: "X", Title: "stages", Header: []string{"a"}}
 	staged.AddRow("1")
-	staged.Stages = []StageRow{{Stage: "readout", Count: 10, TotalNs: 3000, MeanNs: 300}}
+	staged.Stages = []core.StageLatency{{Stage: "readout", Count: 10, TotalNs: 3000, MeanNs: 300}}
 	for _, tab := range []*Table{suite.Figure2(), staged} {
 		var b strings.Builder
 		if err := tab.WriteJSON(&b); err != nil {

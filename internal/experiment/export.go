@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"artery/internal/core"
 )
 
 // Export formats for regenerated tables, used by cmd/artery-bench -format:
@@ -45,13 +47,13 @@ const TableSchemaVersion = 2
 
 // jsonTable is the JSON wire form of a Table.
 type jsonTable struct {
-	SchemaVersion int        `json:"schema_version,omitempty"`
-	ID            string     `json:"id"`
-	Title         string     `json:"title"`
-	Header        []string   `json:"header"`
-	Rows          [][]string `json:"rows"`
-	Notes         []string   `json:"notes,omitempty"`
-	Stages        []StageRow `json:"stages,omitempty"`
+	SchemaVersion int                 `json:"schema_version,omitempty"`
+	ID            string              `json:"id"`
+	Title         string              `json:"title"`
+	Header        []string            `json:"header"`
+	Rows          [][]string          `json:"rows"`
+	Notes         []string            `json:"notes,omitempty"`
+	Stages        []core.StageLatency `json:"stages,omitempty"`
 }
 
 // WriteJSON emits the table as a JSON object (schema version 2).

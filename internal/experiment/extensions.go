@@ -88,9 +88,13 @@ func (s *Suite) ExtraSPRT() *Table {
 			}
 			pulses = append(pulses, ch.Cal.Synthesize(state, rng))
 		}
-		table := predict.New(predict.Config{Theta0: 0.91, Theta1: 0.91, Mode: predict.ModeCombined}, ch)
-		table.SeedHistory(prior*60, (1-prior)*60)
-		accT, latT := table.Accuracy(pulses)
+		// The table predictor's history: 60 pseudo-shots at the prior on
+		// a uniform Beta(1, 1) counter.
+		hist := stats.NewBetaCounter()
+		hist.Alpha += prior * 60
+		hist.Beta += (1 - prior) * 60
+		table := predict.New(predict.Config{Theta: 0.91, Mode: predict.ModeCombined}, ch)
+		accT, latT := table.Accuracy(pulses, hist.P())
 		sprt := predict.NewSPRT(ch, 0.09, 0.09)
 		accS, latS := sprt.Accuracy(pulses, prior)
 		t.AddRow(fmt.Sprintf("%.2f", prior), pct(accT), us(latT), pct(accS), us(latS))
@@ -141,14 +145,13 @@ func (s *Suite) ExtraPlatforms() *Table {
 		// Window scales with the readout so the table keeps ~66 windows.
 		windowNs := spec.readoutNs / 66
 		ch := readout.NewChannel(cal, windowNs, readout.DefaultK, stats.NewRNG(s.Seed+uint64(2700+pi)))
-		p := predict.New(predict.Config{Theta0: 0.91, Theta1: 0.91, Mode: predict.ModeCombined}, ch)
-		p.SeedHistory(50, 50)
+		p := predict.New(predict.Config{Theta: 0.91, Mode: predict.ModeCombined}, ch)
 		rng := stats.NewRNG(s.Seed + uint64(2800+pi))
 		var pulses []*readout.Pulse
 		for i := 0; i < 6*s.Shots; i++ {
 			pulses = append(pulses, cal.Synthesize(i%2, rng))
 		}
-		acc, lat := p.Accuracy(pulses)
+		acc, lat := p.Accuracy(pulses, 0.5)
 		t.AddRow(spec.name,
 			fmt.Sprintf("%.1f", spec.readoutNs/1000),
 			us(lat), pct(lat/spec.readoutNs), pct(acc))

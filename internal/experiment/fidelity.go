@@ -78,7 +78,7 @@ func (s *Suite) Figure13() *Table {
 
 // fidelityArtery builds an ARTERY engine with state simulation enabled.
 func (s *Suite) fidelityArtery() *core.Engine {
-	cfg := predict.Config{Theta0: 0.91, Theta1: 0.91, Mode: predict.ModeCombined}
+	cfg := predict.Config{Theta: 0.91, Mode: predict.ModeCombined}
 	ctrl := controller.NewArtery(controller.DefaultUnits(), s.topo, predict.New(cfg, s.channel(30)))
 	return core.NewEngine(ctrl, s.channel(30), nil)
 }
@@ -103,7 +103,7 @@ func fig14Workloads() []*workload.Workload {
 // (0.4–0.7 on balanced workloads), not at the never-wrong commit rate.
 func (s *Suite) ablationAccuracy(wl *workloadT, mode predict.Mode, salt uint64) float64 {
 	ch := s.channel(30)
-	cfg := predict.Config{Theta0: 0.91, Theta1: 0.91, Mode: mode}
+	cfg := predict.Config{Theta: 0.91, Mode: mode}
 	p := predict.New(cfg, ch)
 	rng := stats.NewRNG(s.Seed + salt)
 	ok, total := 0, 0

@@ -15,7 +15,7 @@ import (
 func (s *Suite) Figure15a() *Table {
 	ch := s.channel(30)
 	// Never-committing predictor: exposes the full posterior trace.
-	cfg := predict.Config{Theta0: 0.9999999, Theta1: 0.9999999, Mode: predict.ModeCombined}
+	cfg := predict.Config{Theta: 0.9999999, Mode: predict.ModeCombined}
 	p := predict.New(cfg, ch)
 
 	wl := workload.RCNOT(10)

@@ -65,9 +65,7 @@ func (s *Suite) ExtraStageBreakdown() *Table {
 	// Attach the ARTERY breakdown (engines() puts ARTERY last) as the
 	// machine-readable metadata and record the partition check.
 	a := results[len(results)-1]
-	for _, sl := range a.Stages {
-		t.Stages = append(t.Stages, StageRow(sl))
-	}
+	t.Stages = a.Stages
 	var stageTotal float64
 	for _, sl := range a.Stages {
 		stageTotal += sl.TotalNs

@@ -103,7 +103,7 @@ func AutoTune(ch *readout.Channel, cfg TuneConfig, rng *stats.RNG) (TuneResult, 
 		if theta <= 0.5 || theta >= 1 {
 			return TuneResult{}, fmt.Errorf("predict: candidate threshold %v out of (0.5,1)", theta)
 		}
-		p := New(Config{Theta0: theta, Theta1: theta, Mode: cfg.Mode}, ch)
+		p := New(Config{Theta: theta, Mode: cfg.Mode}, ch)
 		var lat stats.RunningMean
 		committed, correct := 0, 0
 		for _, r := range shots {

@@ -63,21 +63,22 @@ func (m Mode) String() string {
 
 // Config parameterizes one predictor instance.
 type Config struct {
-	Theta0 float64 // confidence threshold for committing branch 0
-	Theta1 float64 // confidence threshold for committing branch 1
-	Mode   Mode
+	// Theta is the confidence threshold for committing either branch: 1
+	// when the posterior reaches it, 0 when 1 − posterior does.
+	Theta float64
+	Mode  Mode
 }
 
-// DefaultConfig returns the paper's evaluation configuration: symmetric
-// thresholds at the tuned 0.91 operating point (Figure 17).
+// DefaultConfig returns the paper's evaluation configuration: the tuned
+// 0.91 operating point (Figure 17).
 func DefaultConfig() Config {
-	return Config{Theta0: 0.91, Theta1: 0.91, Mode: ModeCombined}
+	return Config{Theta: 0.91, Mode: ModeCombined}
 }
 
 // Validate checks threshold sanity.
 func (c Config) Validate() error {
-	if c.Theta0 <= 0.5 || c.Theta0 >= 1 || c.Theta1 <= 0.5 || c.Theta1 >= 1 {
-		return fmt.Errorf("predict: thresholds must lie in (0.5, 1): θ0=%v θ1=%v", c.Theta0, c.Theta1)
+	if c.Theta <= 0.5 || c.Theta >= 1 {
+		return fmt.Errorf("predict: threshold must lie in (0.5, 1): θ=%v", c.Theta)
 	}
 	return nil
 }
@@ -128,13 +129,12 @@ func (d *Decision) RecordWindows(span *trace.ShotSpan) {
 	}
 }
 
-// Predictor is one feedback site's reconciled branch predictor. It owns the
-// site's historical Beta counter and consults the channel's pre-generated
-// trajectory state table.
+// Predictor is the reconciled branch predictor: it fuses a feedback
+// site's historical probability, which its caller keeps, with the
+// channel's pre-generated trajectory state table.
 type Predictor struct {
 	cfg     Config
 	channel *readout.Channel
-	history *stats.BetaCounter
 }
 
 // New returns a predictor over a calibrated readout channel.
@@ -143,14 +143,7 @@ func New(cfg Config, ch *readout.Channel) *Predictor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Predictor{cfg: cfg, channel: ch, history: stats.NewBetaCounter()}
-}
-
-// SeedHistory pre-loads the historical distribution with pseudo-counts, as
-// when prior shots of the same program have already executed.
-func (p *Predictor) SeedHistory(ones, zeros float64) {
-	p.history.Alpha += ones
-	p.history.Beta += zeros
+	return &Predictor{cfg: cfg, channel: ch}
 }
 
 // Predict runs the iterative analysis over one feedback site's readout
@@ -186,10 +179,10 @@ func (p *Predictor) Predict(r readout.Record, pHist float64, tableFault func(flo
 		}
 		t := float64(n) * windowNs
 		trace = append(trace, PredictionPoint{Windows: n, TimeNs: t, PRead1: pRead, PPredict: post})
-		if post >= p.cfg.Theta1 {
+		if post >= p.cfg.Theta {
 			return Decision{Branch: 1, Committed: true, TimeNs: t, PFinal: post, Trace: trace}
 		}
-		if 1-post >= p.cfg.Theta0 {
+		if 1-post >= p.cfg.Theta {
 			return Decision{Branch: 0, Committed: true, TimeNs: t, PFinal: post, Trace: trace}
 		}
 		if p.cfg.Mode == ModeHistory {
@@ -213,9 +206,9 @@ func (p *Predictor) Predict(r readout.Record, pHist float64, tableFault func(flo
 }
 
 // Accuracy measures prediction accuracy and mean commit time over a set of
-// labelled pulses (ground truth = full-pulse classification), without
-// mutating predictor state.
-func (p *Predictor) Accuracy(pulses []*readout.Pulse) (acc, meanTimeNs float64) {
+// labelled pulses (ground truth = full-pulse classification) at the
+// historical branch-1 probability pHist.
+func (p *Predictor) Accuracy(pulses []*readout.Pulse, pHist float64) (acc, meanTimeNs float64) {
 	if len(pulses) == 0 {
 		return 0, 0
 	}
@@ -223,7 +216,7 @@ func (p *Predictor) Accuracy(pulses []*readout.Pulse) (acc, meanTimeNs float64) 
 	var t stats.RunningMean
 	for _, pl := range pulses {
 		r := p.channel.Classifier.ClassifyFullAndBits(pl, nil)
-		d := p.Predict(r, p.history.P(), nil)
+		d := p.Predict(r, pHist, nil)
 		if d.Branch == r.Truth {
 			ok++
 		}

@@ -70,9 +70,9 @@ func TestBayesCombineExtremesSafe(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	for _, c := range []Config{
-		{Theta0: 0.5, Theta1: 0.9},
-		{Theta0: 0.9, Theta1: 1.0},
-		{Theta0: 0.3, Theta1: 0.9},
+		{Theta: 0.5},
+		{Theta: 1.0},
+		{Theta: 0.3},
 	} {
 		if c.Validate() == nil {
 			t.Fatalf("config %+v accepted", c)
@@ -91,8 +91,8 @@ var sharedChannel = func() *readout.Channel {
 func TestPredictorCommitsEarlyWithStrongHistory(t *testing.T) {
 	// QEC-like site: history overwhelmingly 0 → commits branch 0 fast.
 	p := New(DefaultConfig(), sharedChannel)
-	p.SeedHistory(1, 400) // P_history_1 ≈ 0.0025 (paper: < 1% in QEC)
-	d := p.Predict(sharedChannel.Read(0, stats.NewRNG(2), nil, nil, nil), p.PHistory1(), nil)
+	pHist := pHistory(1, 400) // P_history_1 ≈ 0.0025 (paper: < 1% in QEC)
+	d := p.Predict(sharedChannel.Read(0, stats.NewRNG(2), nil, nil, nil), pHist, nil)
 	if !d.Committed || d.Branch != 0 {
 		t.Fatalf("decision = %+v, want committed branch 0", d)
 	}
@@ -105,12 +105,12 @@ func TestPredictorUniformHistoryNeedsMoreReadout(t *testing.T) {
 	// QRW-like site: 50/50 history → decision driven by the pulse, taking
 	// longer than the history-dominated case.
 	p := New(DefaultConfig(), sharedChannel)
-	p.SeedHistory(200, 200)
+	pHist := pHistory(200, 200)
 	rng := stats.NewRNG(3)
 	var early, committed int
 	const n = 100
 	for i := 0; i < n; i++ {
-		d := p.Predict(sharedChannel.Read(i%2, rng, nil, nil, nil), p.PHistory1(), nil)
+		d := p.Predict(sharedChannel.Read(i%2, rng, nil, nil, nil), pHist, nil)
 		if d.Committed {
 			committed++
 			if d.TimeNs <= 30 {
@@ -129,13 +129,12 @@ func TestPredictorUniformHistoryNeedsMoreReadout(t *testing.T) {
 func TestPredictorAccuracyAboveNinety(t *testing.T) {
 	// Headline claim: > 90% prediction accuracy on a balanced workload.
 	p := New(DefaultConfig(), sharedChannel)
-	p.SeedHistory(100, 100)
 	rng := stats.NewRNG(4)
 	var pulses []*readout.Pulse
 	for i := 0; i < 600; i++ {
 		pulses = append(pulses, sharedChannel.Cal.Synthesize(i%2, rng))
 	}
-	acc, meanT := p.Accuracy(pulses)
+	acc, meanT := p.Accuracy(pulses, pHistory(100, 100))
 	if acc < 0.9 {
 		t.Fatalf("prediction accuracy %v, want > 0.9", acc)
 	}
@@ -147,11 +146,11 @@ func TestPredictorAccuracyAboveNinety(t *testing.T) {
 func TestPredictorFallbackUsesFullReadout(t *testing.T) {
 	// With extreme thresholds nothing commits; decisions take the full
 	// readout and match the conventional classification.
-	cfg := Config{Theta0: 0.9999999, Theta1: 0.9999999, Mode: ModeCombined}
+	cfg := Config{Theta: 0.9999999, Mode: ModeCombined}
 	p := New(cfg, sharedChannel)
 	rng := stats.NewRNG(5)
 	pulse := sharedChannel.Cal.Synthesize(1, rng)
-	d := p.Predict(sharedChannel.Classifier.ClassifyFullAndBits(pulse, nil), p.PHistory1(), nil)
+	d := p.Predict(sharedChannel.Classifier.ClassifyFullAndBits(pulse, nil), pHistory(0, 0), nil)
 	if d.Committed {
 		t.Fatalf("committed despite extreme thresholds: %+v", d)
 	}
@@ -167,16 +166,14 @@ func TestModeHistoryDecidesAtFirstWindowOrNever(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModeHistory
 	p := New(cfg, sharedChannel)
-	p.SeedHistory(500, 1)
 	r := sharedChannel.Read(1, stats.NewRNG(6), nil, nil, nil)
-	d := p.Predict(r, p.PHistory1(), nil)
+	d := p.Predict(r, pHistory(500, 1), nil)
 	if !d.Committed || d.Branch != 1 || d.TimeNs != 30 {
 		t.Fatalf("history-only strong prior: %+v", d)
 	}
 	// Weak prior: never commits, exactly one trace point.
 	p2 := New(cfg, sharedChannel)
-	p2.SeedHistory(10, 10)
-	d2 := p2.Predict(r, p2.PHistory1(), nil)
+	d2 := p2.Predict(r, pHistory(10, 10), nil)
 	if d2.Committed {
 		t.Fatalf("history-only weak prior committed: %+v", d2)
 	}
@@ -191,13 +188,11 @@ func TestModeTrajectoryIgnoresHistory(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModeTrajectory
 	pA := New(cfg, sharedChannel)
-	pA.SeedHistory(1000, 1)
 	pB := New(cfg, sharedChannel)
-	pB.SeedHistory(1, 1000)
 	rng := stats.NewRNG(7)
 	for i := 0; i < 50; i++ {
 		r := sharedChannel.Read(i%2, rng, nil, nil, nil)
-		dA, dB := pA.Predict(r, pA.PHistory1(), nil), pB.Predict(r, pB.PHistory1(), nil)
+		dA, dB := pA.Predict(r, pHistory(1000, 1), nil), pB.Predict(r, pHistory(1, 1000), nil)
 		if dA.Branch != dB.Branch || dA.TimeNs != dB.TimeNs || dA.Committed != dB.Committed {
 			t.Fatalf("history leaked into trajectory-only decision: %+v vs %+v", dA, dB)
 		}
@@ -217,12 +212,11 @@ func TestCombinedFasterThanTrajectoryOnly(t *testing.T) {
 		pulses = append(pulses, sharedChannel.Cal.Synthesize(state, rng))
 	}
 	comb := New(DefaultConfig(), sharedChannel)
-	comb.SeedHistory(5, 95)
 	cfgT := DefaultConfig()
 	cfgT.Mode = ModeTrajectory
 	traj := New(cfgT, sharedChannel)
-	_, tComb := comb.Accuracy(pulses)
-	_, tTraj := traj.Accuracy(pulses)
+	_, tComb := comb.Accuracy(pulses, pHistory(5, 95))
+	_, tTraj := traj.Accuracy(pulses, pHistory(0, 0))
 	if tComb >= tTraj {
 		t.Fatalf("combined (%v ns) not faster than trajectory-only (%v ns)", tComb, tTraj)
 	}
@@ -230,7 +224,7 @@ func TestCombinedFasterThanTrajectoryOnly(t *testing.T) {
 
 func TestTraceMonotoneTime(t *testing.T) {
 	p := New(DefaultConfig(), sharedChannel)
-	d := p.Predict(sharedChannel.Read(1, stats.NewRNG(11), nil, nil, nil), p.PHistory1(), nil)
+	d := p.Predict(sharedChannel.Read(1, stats.NewRNG(11), nil, nil, nil), pHistory(0, 0), nil)
 	for i := 1; i < len(d.Trace); i++ {
 		if d.Trace[i].TimeNs <= d.Trace[i-1].TimeNs {
 			t.Fatal("trace times not increasing")
@@ -247,7 +241,7 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("invalid config accepted")
 		}
 	}()
-	New(Config{Theta0: 0.2, Theta1: 0.2}, sharedChannel)
+	New(Config{Theta: 0.2}, sharedChannel)
 }
 
 // TestRecordWindowsEmitsOneEventPerWindow checks the Figure 15a trace
@@ -314,5 +308,12 @@ func TestModeStringAndReadoutDuration(t *testing.T) {
 	}
 }
 
-// PHistory1 returns the current historical probability of branch 1.
-func (p *Predictor) PHistory1() float64 { return p.history.P() }
+// pHistory is the historical probability of branch 1 of a uniform
+// Beta(1, 1) counter seeded with the given pseudo-counts, as when prior
+// shots of the same program have already executed.
+func pHistory(ones, zeros float64) float64 {
+	h := stats.NewBetaCounter()
+	h.Alpha += ones
+	h.Beta += zeros
+	return h.P()
+}

@@ -115,8 +115,7 @@ func TestSPRTFasterThanTableAtMatchedAccuracy(t *testing.T) {
 		pulses = append(pulses, sharedChannel.Cal.Synthesize(i%2, rng))
 	}
 	table := New(DefaultConfig(), sharedChannel)
-	table.SeedHistory(100, 100)
-	_, tTable := table.Accuracy(pulses)
+	_, tTable := table.Accuracy(pulses, pHistory(100, 100))
 	sprt := NewSPRT(sharedChannel, 0.09, 0.09)
 	accS, tSprt := sprt.Accuracy(pulses, 0.5)
 	if accS < 0.85 {

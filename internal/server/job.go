@@ -22,12 +22,12 @@ type Job struct {
 
 	// Durability seam, set at admission (or recovery) when the server has
 	// a store. prefix is the merged-event prefix recovered from the
-	// journal after a crash — the executor stitches its continuation onto
-	// it. journaled counts the job's durable events (prefix included) for
-	// the checkpoint cadence; journalBroken latches on the first failed
-	// event append so the durable prefix stays contiguous (a gap would
-	// break resume). These three are touched only by the single executor
-	// goroutine that owns the job's merge path, so they need no lock.
+	// journal after a crash — execute folds it and asks the source only
+	// for the rest. journaled counts the job's durable events (prefix
+	// included) for the checkpoint cadence; journalBroken latches on the
+	// first failed event append so the durable prefix stays contiguous (a
+	// gap would break resume). These, and wl, are touched only by the
+	// dispatcher goroutine that runs the job, so they need no lock.
 	store         *store.Store
 	ckptEvery     int
 	prefix        []api.ShotEvent
@@ -71,63 +71,36 @@ func (j *Job) setRunning() {
 
 // complete records the final result (including deterministic canceled
 // prefixes, which are still results) and transitions to done.
-func (j *Job) complete(res *api.Result, now time.Time) {
-	j.mu.Lock()
-	j.state = api.StateDone
-	j.result = res
-	j.finished = now
-	j.broadcast()
-	j.mu.Unlock()
-	j.journalEnd(api.StateDone, "", res)
-}
+func (j *Job) complete(res *api.Result, now time.Time) { j.settle(api.StateDone, "", res, now) }
 
 // fail records a job error (invalid options, engine failure).
-func (j *Job) fail(msg string, now time.Time) {
-	j.mu.Lock()
-	j.state = api.StateFailed
-	j.err = msg
-	j.finished = now
-	j.broadcast()
-	j.mu.Unlock()
-	j.journalEnd(api.StateFailed, msg, nil)
-}
+func (j *Job) fail(msg string, now time.Time) { j.settle(api.StateFailed, msg, nil, now) }
 
 // cancel marks a queued job that will never run (server drain).
-func (j *Job) cancel(msg string, now time.Time) {
+func (j *Job) cancel(msg string, now time.Time) { j.settle(api.StateCanceled, msg, nil, now) }
+
+// settle moves the job to a terminal state and journals the terminal
+// record. The store fsyncs it (a result promise survives the next crash);
+// append failures are already counted by the store and a live client
+// still gets its in-memory result. The workload and the recovered prefix
+// go: a retained finished job keeps only what status and stream serve.
+func (j *Job) settle(state, msg string, res *api.Result, now time.Time) {
+	j.wl, j.prefix = nil, nil
 	j.mu.Lock()
-	j.state = api.StateCanceled
-	j.err = msg
-	j.finished = now
+	j.state, j.err, j.result, j.finished = state, msg, res, now
 	j.broadcast()
 	j.mu.Unlock()
-	j.journalEnd(api.StateCanceled, msg, nil)
-}
-
-// journalEnd writes the job's terminal record. The store fsyncs it (a
-// result promise survives the next crash); append failures are already
-// counted by the store and a live client still gets its in-memory result.
-func (j *Job) journalEnd(state, errMsg string, res *api.Result) {
-	if j.store == nil {
-		return
+	if j.store != nil {
+		j.store.Terminal(j.ID, state, msg, res)
 	}
-	j.store.Terminal(j.ID, state, errMsg, res)
 }
 
-// Workload, AppendFull, Prefix, Complete and Fail are the
-// external-executor accessors and mutators (see Config.Executor): a
-// custom executor commits merged per-shot events and drives the job to
-// its terminal state through them.
-
-// Workload returns the workload built from the request at admission.
-func (j *Job) Workload() *artery.Workload { return j.wl }
-
-// AppendFull commits one merged per-shot event that carries its stage
-// deltas: journaled first (when a store is configured, with a checkpoint
-// barrier every ckptEvery events), then appended to the in-memory log
-// trimmed to the subscriber schema (stage deltas ride the public stream
-// only when the request asked for them). Must be called from the job's
-// single merge-path goroutine, in shot order.
-func (j *Job) AppendFull(ev api.ShotEvent) {
+// append commits one merged per-shot event that carries its stage deltas:
+// journaled first (when a store is configured, with a checkpoint barrier
+// every ckptEvery events), then appended to the in-memory log trimmed to
+// the subscriber schema (stage deltas ride the public stream only when
+// the request asked for them). Called only from execute, in shot order.
+func (j *Job) append(ev api.ShotEvent) {
 	if j.store != nil && !j.journalBroken {
 		if err := j.store.ShotEvent(j.ID, ev); err != nil {
 			// First failure latches: journaling more events would leave a
@@ -148,19 +121,6 @@ func (j *Job) AppendFull(ev api.ShotEvent) {
 	j.broadcast()
 	j.mu.Unlock()
 }
-
-// Prefix returns the job's recovered merged-event prefix: the per-shot
-// events (stage deltas included) that were durable when the previous
-// process died. Executors stitch their continuation onto it — run only
-// [ShotOffset+len(prefix), ShotOffset+Shots) and seed the result fold
-// with these events. Empty for jobs admitted by this process.
-func (j *Job) Prefix() []api.ShotEvent { return j.prefix }
-
-// Complete records the job's final result and transitions it to done.
-func (j *Job) Complete(res *api.Result) { j.complete(res, time.Now()) }
-
-// Fail records a job error and transitions it to failed.
-func (j *Job) Fail(msg string) { j.fail(msg, time.Now()) }
 
 // snapshot returns the job's status document.
 func (j *Job) snapshot(now time.Time) api.JobStatus {

@@ -16,6 +16,13 @@
 // admission, cancels in-flight jobs via their context and reports each
 // one's deterministic canceled prefix.
 //
+// The server alone owns a job's life: execute folds the journaled prefix,
+// asks a shot source for the rest of the range, folds, journals and
+// streams every shot, and settles the job. The local engine is the
+// default source; the scatter-gather coordinator (internal/cluster) is
+// the other one, so a sharded job's merge, journal and resume are this
+// same code.
+//
 // The wire schema lives in the shared artery/api package (imported by the
 // server, the scatter-gather coordinator and the Go client alike, so the
 // three cannot drift).
@@ -65,14 +72,15 @@ type Config struct {
 	// that cannot run. The coordinator uses it while zero backends are
 	// healthy, so load balancers drain a cluster that cannot serve.
 	ReadyCheck func() error
-	// Executor, when set, replaces the built-in local engine executor:
-	// the dispatcher pool invokes it for every job pulled off the queue,
-	// and it must drive the job to a terminal state (Complete or Fail)
-	// before returning, honoring ctx for drains. This is how the
-	// scatter-gather coordinator (internal/cluster) reuses the server's
-	// admission control, job table, streaming and shutdown while
-	// executing jobs on remote backends instead of the local engine.
-	Executor func(ctx context.Context, j *Job)
+	// Source, when set, replaces the local engine as the producer of a
+	// job's shots: it runs the global shot range [lo, lo+shots) of req
+	// (wl is the workload built at admission), calls emit once per shot
+	// in shot order from one goroutine, and reports whether ctx stopped
+	// it early. Everything else stays the server's: folding the journaled
+	// prefix, journaling and logging each shot, and settling the job. The
+	// scatter-gather coordinator (internal/cluster) is a source that runs
+	// the range on remote backends.
+	Source func(ctx context.Context, req api.Request, wl *artery.Workload, lo, shots int, emit func(artery.ShotUpdate)) (canceled bool, err error)
 	// Store, when non-nil, makes jobs durable (see internal/store): every
 	// accepted request is journaled before the 202, merged events and
 	// results are journaled as they commit, finished jobs survive both
@@ -185,8 +193,8 @@ func New(cfg Config) *Server {
 	s.queue = make(chan *Job, s.cfg.QueueDepth)
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	s.runJob = s.execute
-	if s.cfg.Executor != nil {
-		s.runJob = s.cfg.Executor
+	if s.cfg.Source == nil {
+		s.cfg.Source = s.runLocal
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -207,8 +215,9 @@ func New(cfg Config) *Server {
 // restored so evicted ids answer 410 instead of being reissued, terminal
 // jobs stay on disk (served on demand), and jobs that were live when the
 // previous process died are re-admitted as continuations — their durable
-// event prefix is loaded and the executor runs only the remaining range,
-// stitching a result byte-identical to an uninterrupted run.
+// event prefix is loaded and execute asks the source only for the
+// remaining range, stitching a result byte-identical to an uninterrupted
+// run.
 func (s *Server) recoverFromStore() {
 	st := s.cfg.Store
 	for _, rec := range st.Jobs() {
@@ -391,62 +400,62 @@ func (s *Server) perJobWorkers() int {
 	return w
 }
 
-// execute runs one job end to end: build its system from the request's
-// seed through the server's calibration cache (jobs with equal seed,
-// window and history depth share one read-only calibrated channel, and a
-// shared channel changes no output byte, so results are bit-identical
-// regardless of what else is running or ran before), stream per-shot
-// updates into the job's event log as the engine's merge path commits
-// them, and record the final result — including the deterministic
-// canceled prefix if ctx was canceled mid-run by a drain.
-//
-// The result is one fold (api.Merger) over the job's merged-event prefix
-// and then every live shot. The prefix is empty for a fresh job; a job
-// recovered from the journal mid-run carries the events that were durable
-// (Job.Prefix), and only the remaining range [offset+k, offset+shots) is
-// executed. Per-shot RNG streams are drawn by global shot index, so the
-// continuation's events — and the folded result — are byte-identical to
-// the uninterrupted run.
+// execute runs one job end to end; it is the only code that folds a
+// job's shots. The result is one fold (api.Merger) over the job's
+// journaled prefix and then every shot the source emits. The prefix is
+// empty for a fresh job; a job recovered from the journal mid-run carries
+// the events that were durable, and the source runs only the remaining
+// range [offset+k, offset+shots), or nothing when the journal holds every
+// shot and only the terminal record was lost. Per-shot RNG streams are
+// drawn by global shot index, so the continuation's events, and the
+// folded result, are byte-identical to the uninterrupted run. The result
+// of a source that ctx stopped early is the deterministic canceled
+// prefix.
 func (s *Server) execute(ctx context.Context, j *Job) {
-	opts, ctrl, err := api.LibraryOptions(j.Req)
-	if err != nil {
-		j.fail(err.Error(), s.now())
-		return
-	}
-	sys, err := s.calib.New(append(opts, artery.WithWorkers(s.perJobWorkers()))...)
-	s.publishCalibration()
-	if err != nil {
-		j.fail(err.Error(), s.now())
-		return
-	}
 	agg := api.NewMerger(j.Req, j.wl)
-	prefix := j.Prefix()
-	for _, ev := range prefix {
+	for _, ev := range j.prefix {
 		if err := agg.Add(ev); err != nil {
 			j.fail(fmt.Sprintf("journaled prefix: %v", err), s.now())
 			return
 		}
 	}
 	canceled := false
-	// A non-positive remainder means every shot was durable and only the
-	// terminal record was lost.
-	if remaining := j.Req.Shots - len(prefix); remaining > 0 {
+	if k := len(j.prefix); k < j.Req.Shots {
 		// Journaled events always carry stage deltas (the resume fold
 		// needs them); without a store this is the exact pre-durability
 		// stream.
 		withStages := j.Req.StreamStages || j.store != nil
-		rep, err := sys.RunRangeStream(ctx, ctrl, j.wl, j.Req.ShotOffset+len(prefix), remaining, func(u artery.ShotUpdate) {
+		var err error
+		canceled, err = s.cfg.Source(ctx, j.Req, j.wl, j.Req.ShotOffset+k, j.Req.Shots-k, func(u artery.ShotUpdate) {
 			agg.AddShot(u)
-			j.AppendFull(api.EventFrom(u, withStages))
+			j.append(api.EventFrom(u, withStages))
 			s.m.shotsStreamed.Inc()
 		})
 		if err != nil {
 			j.fail(err.Error(), s.now())
 			return
 		}
-		canceled = rep.Canceled
 	}
 	j.complete(agg.Result(canceled), s.now())
+}
+
+// runLocal is the default Source: the local engine. The job's system is
+// built from the request's seed through the server's calibration cache
+// (jobs with equal seed, window and history depth share one read-only
+// calibrated channel, which changes no output byte), so results are
+// bit-identical regardless of what else is running or ran before.
+func (s *Server) runLocal(ctx context.Context, req api.Request, wl *artery.Workload, lo, shots int, emit func(artery.ShotUpdate)) (bool, error) {
+	opts, ctrl, err := api.LibraryOptions(req)
+	if err != nil {
+		return false, err
+	}
+	sys, err := s.calib.New(append(opts, artery.WithWorkers(s.perJobWorkers()))...)
+	s.publishCalibration()
+	if err != nil {
+		return false, err
+	}
+	rep, err := sys.RunRangeStream(ctx, ctrl, wl, lo, shots, emit)
+	return rep.Canceled, err
 }
 
 // publishCalibration copies the calibration cache's counts into the

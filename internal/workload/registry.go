@@ -13,8 +13,9 @@ import (
 var registry = []struct {
 	name string
 	make func(param int) *Workload
-	// check validates the size parameter beyond the default >= 1 rule,
-	// so ByName returns an error instead of the constructor's panic.
+	// check, when set, replaces the maxParam cap: it validates the size
+	// parameter beyond the >= 1 rule, so ByName returns an error instead
+	// of the constructor's panic.
 	check func(param int) error
 }{
 	{name: "qrw", make: QRW},
@@ -27,6 +28,12 @@ var registry = []struct {
 	{name: "msi", make: MSI},
 	{name: "surface", make: SurfaceMemory, check: checkSurfaceDistance},
 }
+
+// maxParam caps the size parameter of every workload without a check of
+// its own. Admission builds the workload a request names, and the cost
+// grows with the parameter (qec 100 allocates about 1.5 MiB, qec 100000
+// about 1.8 GiB), so without a cap one request could exhaust a server.
+const maxParam = 100
 
 // checkSurfaceDistance mirrors SurfaceMemory's parameter contract: an
 // odd code distance, capped so a mistyped request cannot ask a server
@@ -68,6 +75,8 @@ func ByName(name string, param int) (*Workload, error) {
 			if err := e.check(param); err != nil {
 				return nil, err
 			}
+		} else if param > maxParam {
+			return nil, fmt.Errorf("workload %s: size parameter %d exceeds the supported maximum %d", name, param, maxParam)
 		}
 		return e.make(param), nil
 	}

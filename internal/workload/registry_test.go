@@ -74,3 +74,19 @@ func TestByNameErrors(t *testing.T) {
 		t.Errorf("huge distance: err = %v, want maximum error", err)
 	}
 }
+
+// TestByNameCapsSize checks the size cap of every name without a check of
+// its own: the cap itself builds, one more is an error.
+func TestByNameCapsSize(t *testing.T) {
+	for _, name := range Names() {
+		if name == "surface" {
+			continue // capped by its own distance check
+		}
+		if _, err := ByName(name, 100); err != nil {
+			t.Errorf("ByName(%q, 100): %v", name, err)
+		}
+		if _, err := ByName(name, 101); err == nil || !strings.Contains(err.Error(), "maximum") {
+			t.Errorf("ByName(%q, 101): err = %v, want the size cap error", name, err)
+		}
+	}
+}
